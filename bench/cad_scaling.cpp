@@ -1,15 +1,13 @@
 // CAD flow scaling sweep: run the full techmap -> pack -> place -> route ->
-// bitstream flow on generated designs across increasing fabric sizes, in both
-// the optimized configuration (incremental place cost + incremental
-// PathFinder) and the pre-refactor baseline (rescan evaluator + full rip-up),
-// and emit BENCH_flow.json with per-stage wall times, router iterations,
-// total wirelength and the end-to-end speedup per design.
+// bitstream flow with default options on generated designs across
+// increasing fabric sizes, and emit BENCH_flow.json with per-stage wall
+// times, router iterations, total wirelength and placement cost per design.
 //
 // A second section sweeps the parallel CAD subsystem over thread counts
-// (1/2/4/8): multi-seed placement racing (4 replicas) and the concurrent
-// BatchFlowRunner (8 jobs), reporting wall-clock speedup against the
-// one-worker run plus the QoR delta / bit-identity checks that prove
-// parallelism never changes results.
+// (1/2/4/8): multi-seed placement racing (4 replicas) and a FlowService
+// running one closed 8-job grid, reporting wall-clock speedup against the
+// one-worker or sequential run plus the QoR delta / bit-identity checks
+// that prove parallelism never changes results.
 //
 // Placement sections gate the analytical engine against the annealer and
 // the multilevel V-cycle against the flat analytical engine (the
@@ -41,7 +39,6 @@
 #include "base/json.hpp"
 #include "base/threadpool.hpp"
 #include "base/timer.hpp"
-#include "cad/batch.hpp"
 #include "cad/flow.hpp"
 #include "cad/flow_client.hpp"
 #include "cad/flow_server.hpp"
@@ -71,13 +68,11 @@ struct RunResult {
 };
 
 RunResult run_flow_best(const netlist::Netlist& nl, const asynclib::MappingHints& hints,
-                        const core::ArchSpec& arch, bool incremental, int reps) {
+                        const core::ArchSpec& arch, int reps) {
     RunResult best;
     for (int r = 0; r < reps; ++r) {
         cad::FlowOptions opts;
         opts.seed = 7;
-        opts.place.incremental = incremental;
-        opts.route.incremental = incremental;
         base::WallTimer t;
         auto fr = cad::run_flow(nl, hints, arch, opts);
         const double ms = t.elapsed_ms();
@@ -141,14 +136,12 @@ int main(int argc, char** argv) {
         arch.height = pt.fabric;
         arch.channel_width = pt.channel_width;
 
-        const RunResult opt = run_flow_best(adder.nl, adder.hints, arch, true, reps);
-        const RunResult base = run_flow_best(adder.nl, adder.hints, arch, false, reps);
-        const double speedup = base.total_ms / opt.total_ms;
+        const RunResult opt = run_flow_best(adder.nl, adder.hints, arch, reps);
 
-        std::printf("qdi_adder_%zu on %ux%u cw=%u: optimized %.1f ms, baseline %.1f ms, "
-                    "speedup %.2fx, route iters %d, wirelength %zu\n",
+        std::printf("qdi_adder_%zu on %ux%u cw=%u: %.1f ms, placement cost %.0f, "
+                    "route iters %d, wirelength %zu\n",
                     pt.adder_bits, pt.fabric, pt.fabric, pt.channel_width, opt.total_ms,
-                    base.total_ms, speedup, opt.fr.routing.iterations,
+                    opt.fr.placement.final_cost, opt.fr.routing.iterations,
                     opt.fr.routing.wirelength);
 
         w.begin_object();
@@ -158,13 +151,11 @@ int main(int argc, char** argv) {
         w.key("clusters").value(std::uint64_t{opt.fr.packed.clusters.size()});
         w.key("nets").value(std::uint64_t{opt.fr.routing.trees.size()});
         w.key("optimized_total_ms").value(opt.total_ms);
-        w.key("baseline_total_ms").value(base.total_ms);
-        w.key("speedup").value(speedup);
         w.key("route_iterations").value(opt.fr.routing.iterations);
         w.key("nets_rerouted").value(std::uint64_t{opt.fr.routing.nets_rerouted});
         w.key("wirelength").value(std::uint64_t{opt.fr.routing.wirelength});
         w.key("placement_cost").value(opt.fr.placement.final_cost);
-        // Per-stage wall times and trajectories of the optimized flow.
+        // Per-stage wall times and trajectories of the best rep.
         w.key("telemetry").raw(opt.fr.telemetry.to_json());
         w.end_object();
     }
@@ -237,44 +228,49 @@ int main(int argc, char** argv) {
         w.end_array();
     }
 
-    // Tier 2: BatchFlowRunner throughput. Eight independent jobs (same
-    // design, different seeds) against the one-worker batch; per-job QoR must
-    // be bit-identical to a sequential run_flow of the same options.
+    // Tier 2: concurrent whole flows. Eight independent jobs (same design,
+    // different seeds) submitted as one grid to a FlowService, against the
+    // one-after-another loop; per-job QoR must be bit-identical to a
+    // sequential run_flow of the same options. Artifact sharing is off so
+    // every rep re-measures real work.
     {
         auto adder = asynclib::make_qdi_adder(4);
         core::ArchSpec arch;
         arch.width = arch.height = 10;
         arch.channel_width = 12;
 
-        // The batch runner amortizes one shared RRGraph outside its timed
-        // run() window; hand the sequential reference the same prebuilt
-        // graph so both sides do equal work and the speedup measures pure
+        // The service amortizes one shared RRGraph outside its timed window
+        // (prewarm_rr); hand the sequential reference its own prebuilt graph
+        // so both sides do equal work and the speedup measures pure
         // concurrency.
         const std::shared_ptr<const core::RRGraph> prebuilt_rr =
             std::make_shared<core::RRGraph>(arch);
 
-        std::vector<cad::BatchJob> jobs;
+        std::vector<cad::FlowJob> jobs;
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-            cad::BatchJob j;
+            cad::FlowJob j;
             j.name = "qdi_adder_4_s" + std::to_string(seed);
             j.nl = &adder.nl;
             j.hints = &adder.hints;
+            j.arch = arch;
             j.opts.seed = seed;
-            j.opts.prebuilt_rr = prebuilt_rr;  // the runner swaps in its own
             jobs.push_back(j);
         }
 
         // Sequential reference: the same eight flows, one after another. Only
         // run_flow is timed — serialization happens outside the window, like
-        // the batch side.
+        // the service side.
         std::vector<base::BitVector> sequential_bits;
         double sequential_ms = 1e18;
         for (int r = 0; r < reps; ++r) {
             std::vector<cad::FlowResult> frs;
             frs.reserve(jobs.size());
             base::WallTimer timer;
-            for (const cad::BatchJob& j : jobs)
-                frs.push_back(cad::run_flow(*j.nl, *j.hints, arch, j.opts));
+            for (const cad::FlowJob& j : jobs) {
+                cad::FlowOptions o = j.opts;
+                o.prebuilt_rr = prebuilt_rr;
+                frs.push_back(cad::run_flow(*j.nl, *j.hints, arch, o));
+            }
             const double ms = timer.elapsed_ms();
             if (ms < sequential_ms) {
                 sequential_ms = ms;
@@ -285,17 +281,22 @@ int main(int argc, char** argv) {
 
         w.key("batch_runner").begin_array();
         for (unsigned t : thread_counts) {
-            cad::BatchOptions bopts;
-            bopts.threads = t;
-            cad::BatchFlowRunner runner(arch, bopts);
+            cad::FlowServiceOptions so;
+            so.threads = t;
+            so.share_artifacts = false;
+            cad::FlowService svc(so);
+            (void)svc.prewarm_rr(arch);
             double best_ms = 1e18;
             bool qor_identical = true;  // ANDed over every rep: one drift fails it
             for (int r = 0; r < reps; ++r) {
-                const auto results = runner.run(jobs);
+                base::WallTimer timer;
+                const auto ids = svc.submit_grid(jobs);
+                std::vector<cad::FlowJobResult> results;
+                for (cad::FlowJobId id : ids) results.push_back(svc.take(id));
+                best_ms = std::min(best_ms, timer.elapsed_ms());
                 for (std::size_t i = 0; i < results.size(); ++i)
-                    qor_identical = qor_identical && results[i].ok &&
+                    qor_identical = qor_identical && results[i].ok() &&
                                     results[i].result.bits->serialize() == sequential_bits[i];
-                best_ms = std::min(best_ms, runner.last_batch_ms());
             }
             const double speedup = sequential_ms / best_ms;
             const double throughput =

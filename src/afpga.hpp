@@ -37,7 +37,6 @@
 #include "core/plb.hpp"        // IWYU pragma: export
 #include "core/rrgraph.hpp"    // IWYU pragma: export
 
-#include "cad/batch.hpp"    // IWYU pragma: export
 #include "cad/flow.hpp"     // IWYU pragma: export
 #include "cad/mapped.hpp"   // IWYU pragma: export
 #include "cad/pack.hpp"     // IWYU pragma: export

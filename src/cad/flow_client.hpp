@@ -1,7 +1,7 @@
 /// \file
 /// FlowClient: the blocking-socket client side of the cad/wire protocol,
-/// plus a BatchFlowRunner-shaped adapter that makes the examples/ and eval/
-/// grids remote-capable.
+/// plus RemoteBatchRunner, which compiles a whole job grid over one
+/// connection so the examples/ and eval/ grids can run remotely.
 ///
 /// A FlowClient is one connection = one FlowService fairness lane. It is
 /// intentionally synchronous (one request, one reply) — concurrency comes
@@ -109,8 +109,8 @@ private:
     std::uint32_t last_busy_retry_ms_ = 50;  ///< latest server backoff hint
 };
 
-/// BatchFlowRunner-shaped adapter over one FlowClient: submit a whole grid
-/// (riding out Busy backpressure), then collect every result in job order.
+/// Grid runner over one FlowClient: submit a whole grid (riding out Busy
+/// backpressure), then collect every result in job order.
 class RemoteBatchRunner {
 public:
     /// Borrow `client`; it must outlive the runner.

@@ -1,11 +1,10 @@
 /// \file
 /// FlowService: the persistent flow server.
 ///
-/// Where BatchFlowRunner (cad/batch.hpp) executes one closed batch over one
-/// architecture, the FlowService is long-lived: it owns a ThreadPool, a
-/// shared content-addressed ArtifactStore (cad/artifact.hpp) and a memo of
-/// prebuilt RR graphs per architecture, and accepts FlowJobs through a
-/// thread-safe queue for as long as it exists. Experiment grids — many
+/// The FlowService is long-lived: it owns a ThreadPool, a shared
+/// content-addressed ArtifactStore (cad/artifact.hpp) and a memo of prebuilt
+/// RR graphs per architecture, and accepts FlowJobs through a thread-safe
+/// queue for as long as it exists. Experiment grids — many
 /// designs x architectures x seeds x stage knobs — are expressed as job
 /// sets on one service; jobs that share upstream inputs share the cached
 /// techmap/pack/place products, so a warm sweep that varies only downstream

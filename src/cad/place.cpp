@@ -40,52 +40,7 @@ struct State {
             const PlbCoord c = cluster_loc[e.index];
             return {c.x + 1.0, c.y + 1.0};
         }
-        // io_slot is stored on the entity; the pre-refactor code re-derived
-        // it with a linear search on every position lookup (see io_slot_find).
         return model->pad_pt(pad_of_io[e.io_slot]);
-    }
-
-    /// Pre-refactor io-slot lookup, kept verbatim as the bench baseline: the
-    /// seed placer ran this linear search for every I/O position query.
-    [[nodiscard]] std::size_t io_slot_find(std::size_t eid) const {
-        const auto it =
-            std::find(model->io_entity_ids.begin(), model->io_entity_ids.end(), eid);
-        return static_cast<std::size_t>(it - model->io_entity_ids.begin());
-    }
-
-    [[nodiscard]] PlacePt position_prerefactor(std::size_t eid) const {
-        const PlaceEntity& e = model->entities[eid];
-        if (e.kind == PlaceEntity::Kind::Cluster) {
-            const PlbCoord c = cluster_loc[e.index];
-            return {c.x + 1.0, c.y + 1.0};
-        }
-        return model->pad_pt(pad_of_io[io_slot_find(eid)]);
-    }
-
-    template <typename PositionFn>
-    [[nodiscard]] double net_cost_via(const PlaceNet& n, PositionFn&& pos) const {
-        double xmin = 1e18;
-        double xmax = -1e18;
-        double ymin = 1e18;
-        double ymax = -1e18;
-        for (std::size_t eid : n.entities) {
-            const PlacePt p = pos(eid);
-            xmin = std::min(xmin, p.x);
-            xmax = std::max(xmax, p.x);
-            ymin = std::min(ymin, p.y);
-            ymax = std::max(ymax, p.y);
-        }
-        return (xmax - xmin) + (ymax - ymin);
-    }
-
-    /// Baseline move evaluation: rescan the given nets through the
-    /// pre-refactor position lookup (linear io-slot search included).
-    [[nodiscard]] double cost_of_prerefactor(const std::vector<std::size_t>& net_ids) const {
-        double c = 0;
-        for (std::size_t ni : net_ids)
-            c += net_cost_via(model->nets[ni],
-                              [this](std::size_t eid) { return position_prerefactor(eid); });
-        return c;
     }
 
     [[nodiscard]] double total_cost() const {
@@ -156,19 +111,17 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
     // Entities and nets mirror the model tables; the engine caches positions
     // and per-net bounding boxes so move evaluation never rescans positions.
     PlaceCostEngine engine;
-    if (opts.incremental) {
-        for (std::size_t eid = 0; eid < model.entities.size(); ++eid) {
-            const PlacePt p = st.position(eid);
-            engine.add_entity(p.x, p.y);
-        }
-        for (const PlaceNet& n : model.nets) engine.add_net(n.entities);
-        engine.finalize();
+    for (std::size_t eid = 0; eid < model.entities.size(); ++eid) {
+        const PlacePt p = st.position(eid);
+        engine.add_entity(p.x, p.y);
     }
+    for (const PlaceNet& n : model.nets) engine.add_net(n.entities);
+    engine.finalize();
 
     // Pad coordinates are pure geometry, tabled on the model.
     const std::vector<PlacePt>& pad_pts = model.pad_pts;
 
-    double cost = opts.incremental ? engine.total_cost() : st.total_cost();
+    double cost = engine.total_cost();
 
     Placement result;
 
@@ -187,21 +140,6 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
         if (move_cluster && model.num_clusters == 0) return 0;
         if (commit_stats) ++result.moves_tried;
 
-        // Legacy (pre-refactor) evaluation: rescan the affected nets before
-        // and after a tentative mutation, then roll back.
-        auto legacy_delta = [&](std::size_t eid_a, std::size_t eid_b,
-                                auto&& apply, auto&& revert) {
-            std::vector<std::size_t> affected = model.nets_of_entity[eid_a];
-            if (eid_b != SIZE_MAX)
-                for (std::size_t ni : model.nets_of_entity[eid_b]) affected.push_back(ni);
-            std::sort(affected.begin(), affected.end());
-            affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
-            const double before = st.cost_of_prerefactor(affected);
-            apply();
-            const double after = st.cost_of_prerefactor(affected);
-            revert();
-            return after - before;
-        };
         auto accept = [&](double delta) {
             return delta <= 0 ||
                    rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9));
@@ -225,29 +163,15 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
             const std::uint32_t cell = to.y * W + to.x;
             if (to == from) return 0;
             const std::size_t other = st.grid[cell];  // cluster index + 1
-            double delta = 0;
-            if (opts.incremental) {
-                const EntityMove moves[2] = {{ci, to.x + 1.0, to.y + 1.0},
-                                             {other - 1, from.x + 1.0, from.y + 1.0}};
-                delta = engine.eval({moves, other ? std::size_t{2} : std::size_t{1}});
-            } else {
-                delta = legacy_delta(
-                    ci, other ? other - 1 : SIZE_MAX,
-                    [&] {
-                        st.cluster_loc[ci] = to;
-                        if (other) st.cluster_loc[other - 1] = from;
-                    },
-                    [&] {
-                        st.cluster_loc[ci] = from;
-                        if (other) st.cluster_loc[other - 1] = to;
-                    });
-            }
+            const EntityMove moves[2] = {{ci, to.x + 1.0, to.y + 1.0},
+                                         {other - 1, from.x + 1.0, from.y + 1.0}};
+            const double delta = engine.eval({moves, other ? std::size_t{2} : std::size_t{1}});
             if (!accept(delta)) return 0;
             st.cluster_loc[ci] = to;
             st.grid[cell] = ci + 1;
             st.grid[from.y * W + from.x] = other;
             if (other) st.cluster_loc[other - 1] = from;
-            if (opts.incremental) engine.commit();
+            engine.commit();
             if (commit_stats) ++result.moves_accepted;
             return delta;
         }
@@ -274,32 +198,17 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
         if (to_pad == from_pad) return 0;
         const std::size_t other = st.pad_owner[to_pad];  // io slot + 1
         const std::size_t eid = model.io_entity_ids[slot];
-        double delta = 0;
-        if (opts.incremental) {
-            const PlacePt p = pad_pts[to_pad];
-            const PlacePt q = pad_pts[from_pad];
-            const EntityMove moves[2] = {
-                {eid, p.x, p.y},
-                {other ? model.io_entity_ids[other - 1] : SIZE_MAX, q.x, q.y}};
-            delta = engine.eval({moves, other ? std::size_t{2} : std::size_t{1}});
-        } else {
-            delta = legacy_delta(
-                eid, other ? model.io_entity_ids[other - 1] : SIZE_MAX,
-                [&] {
-                    st.pad_of_io[slot] = to_pad;
-                    if (other) st.pad_of_io[other - 1] = from_pad;
-                },
-                [&] {
-                    st.pad_of_io[slot] = from_pad;
-                    if (other) st.pad_of_io[other - 1] = to_pad;
-                });
-        }
+        const PlacePt p = pad_pts[to_pad];
+        const PlacePt q = pad_pts[from_pad];
+        const EntityMove moves[2] = {
+            {eid, p.x, p.y}, {other ? model.io_entity_ids[other - 1] : SIZE_MAX, q.x, q.y}};
+        const double delta = engine.eval({moves, other ? std::size_t{2} : std::size_t{1}});
         if (!accept(delta)) return 0;
         st.pad_of_io[slot] = to_pad;
         st.pad_owner[to_pad] = slot + 1;
         st.pad_owner[from_pad] = other;
         if (other) st.pad_of_io[other - 1] = from_pad;
-        if (opts.incremental) engine.commit();
+        engine.commit();
         if (commit_stats) ++result.moves_accepted;
         return delta;
     };
@@ -326,7 +235,7 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
             var /= static_cast<double>(deltas.size());
             temperature = std::max(1.0, 20.0 * std::sqrt(var));
             // Recompute cost (probe moves changed the state).
-            cost = opts.incremental ? engine.total_cost() : st.total_cost();
+            cost = engine.total_cost();
         }
 
         const std::size_t n_ent = model.entities.size();
@@ -481,61 +390,12 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
 
 double placement_wirelength(const PackedDesign& pd, const MappedDesign& md,
                             const core::ArchSpec& arch, const Placement& pl) {
-    // Cheap recomputation: reuse place's machinery is awkward; compute HPWL
-    // directly over signals here.
-    const auto consumers = pd.build_consumers(md);
-    core::FabricGeometry geom(arch);
-    auto pad_pt = [&](std::uint32_t pad) {
-        const core::IobCoord io = geom.pad_iob(pad);
-        switch (io.side) {
-            case core::Side::Bottom: return std::pair<double, double>{io.offset + 1.0, 0.0};
-            case core::Side::Top:
-                return std::pair<double, double>{io.offset + 1.0, arch.height + 1.0};
-            case core::Side::Left: return std::pair<double, double>{0.0, io.offset + 1.0};
-            case core::Side::Right:
-                return std::pair<double, double>{arch.width + 1.0, io.offset + 1.0};
-        }
-        return std::pair<double, double>{0, 0};
-    };
-    std::unordered_map<NetId, std::size_t> producer_cluster;
-    for (std::size_t ci = 0; ci < pd.clusters.size(); ++ci)
-        for (NetId s : pd.clusters[ci].produced(md)) producer_cluster[s] = ci;
-    std::unordered_map<NetId, std::string> pi_name;
-    for (const auto& [name, s] : md.primary_inputs) pi_name[s] = name;
-
-    double total = 0;
-    std::unordered_map<NetId, std::vector<std::pair<double, double>>> pts;
-    for (const auto& [s, clist] : consumers) {
-        auto& v = pts[s];
-        for (std::size_t c : clist)
-            v.emplace_back(pl.cluster_loc[c].x + 1.0, pl.cluster_loc[c].y + 1.0);
-    }
-    for (const auto& [name, s] : md.primary_outputs) pts[s].push_back(pad_pt(pl.po_pad.at(name)));
-    for (auto& [s, v] : pts) {
-        if (md.constant_signals.count(s)) continue;
-        const auto pit = pi_name.find(s);
-        if (pit != pi_name.end()) {
-            v.push_back(pad_pt(pl.pi_pad.at(pit->second)));
-        } else {
-            const auto dit = producer_cluster.find(s);
-            if (dit != producer_cluster.end())
-                v.emplace_back(pl.cluster_loc[dit->second].x + 1.0,
-                               pl.cluster_loc[dit->second].y + 1.0);
-        }
-        if (v.size() < 2) continue;
-        double xmin = 1e18;
-        double xmax = -1e18;
-        double ymin = 1e18;
-        double ymax = -1e18;
-        for (auto [x, y] : v) {
-            xmin = std::min(xmin, x);
-            xmax = std::max(xmax, x);
-            ymin = std::min(ymin, y);
-            ymax = std::max(ymax, y);
-        }
-        total += (xmax - xmin) + (ymax - ymin);
-    }
-    return total;
+    // Placement coordinates are integers, so the HPWL sum is exact in any order.
+    std::vector<std::uint32_t> pad_of_io;
+    pad_of_io.reserve(md.primary_inputs.size() + md.primary_outputs.size());
+    for (const auto& [name, s] : md.primary_inputs) pad_of_io.push_back(pl.pi_pad.at(name));
+    for (const auto& [name, s] : md.primary_outputs) pad_of_io.push_back(pl.po_pad.at(name));
+    return PlaceModel(pd, md, arch).total_cost(pl.cluster_loc, pad_of_io);
 }
 
 std::uint64_t PlaceOptions::fingerprint() const noexcept {
@@ -546,7 +406,6 @@ std::uint64_t PlaceOptions::fingerprint() const noexcept {
         .mix(alpha)
         .mix(moves_scale)
         .mix(anneal)
-        .mix(incremental)
         .mix(algorithm)
         .mix(parallel_seeds)
         .mix(threads)

@@ -93,20 +93,16 @@ struct Placement {
     std::vector<PlaceReplica> replicas;
     std::size_t winner_replica = 0;        ///< index into replicas
     PlaceEngine engine = PlaceEngine::Anneal;  ///< engine that produced this
-    /// Populated when `engine == Analytical` (zeroed otherwise).
+    /// Populated when `engine` is Analytical or Multilevel (zeroed otherwise).
     AnalyticalStats analytical;
 };
 
-/// Placement knobs (both engines; see each field).
+/// Placement knobs (all three engines; see each field).
 struct PlaceOptions {
     std::uint64_t seed = 1;        ///< RNG seed (the flow injects its own)
     double alpha = 0.9;            ///< temperature decay
     double moves_scale = 10.0;     ///< moves per temperature ~ scale * n^(4/3)
     bool anneal = true;            ///< false: keep the seeded random placement
-    /// false: pre-refactor cost evaluation (rescan affected nets through
-    /// position lookups with mutate/rollback) — kept as the bench baseline
-    /// and as a cross-check; decisions are bit-identical in both modes.
-    bool incremental = true;
     /// Engine selection; see PlaceAlgorithm. `Anneal` preserves the
     /// historical behaviour bit-for-bit.
     PlaceAlgorithm algorithm = PlaceAlgorithm::Anneal;

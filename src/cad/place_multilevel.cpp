@@ -136,7 +136,7 @@ struct PadScratch {
 /// answers each nearest-free query in O(log n_pads), which is what lets
 /// the coarsest level run its full pass schedule without an
 /// O(n_io * n_pads) scan per pass swamping the cheap coarse solves.
-void refine_level_pads(const CoarseLevel& lv, const PlaceModel& model,
+void refine_level_pads(const CoarseLevel& lv,
                        const std::vector<std::vector<std::uint32_t>>& nets_of_io,
                        const std::vector<double>& cx, const std::vector<double>& cy,
                        std::vector<std::uint32_t>& pad_of_io, PadScratch& scratch) {
@@ -293,7 +293,7 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
         for (int pass = 0; pass < passes; ++pass) {
             solve_axes();
             if (lv.num_io != 0)
-                refine_level_pads(lv, model, nets_of_io, cx, cy, res.pad_of_io, pads);
+                refine_level_pads(lv, nets_of_io, cx, cy, res.pad_of_io, pads);
             if (lv.num_nodes != 0) {
                 spread_targets(W, H, lv.num_nodes, cx, cy, lv.node_weight.data(), tgt_x,
                                tgt_y, spread);
@@ -309,7 +309,7 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
             // engine: re-seat pads, one closing solve, then legalize from a
             // final round of density-feasible bisection targets.
             if (lv.num_io != 0)
-                refine_level_pads(lv, model, nets_of_io, cx, cy, res.pad_of_io, pads);
+                refine_level_pads(lv, nets_of_io, cx, cy, res.pad_of_io, pads);
             solve_axes();
             res.stats.pre_legal_cost = fractional_cost(model, cx, cy, res.pad_of_io);
             if (lv.num_nodes != 0) {

@@ -40,14 +40,13 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
 
     for (int iter = 1; iter <= opts.max_iterations; ++iter) {
         // Select this iteration's work. The first iteration routes everything;
-        // afterwards, with incremental PathFinder, only nets touching an
-        // over-capacity node (every user of a congested node is implicated)
-        // or with unrouted sinks are ripped up — unless congestion has
-        // stalled, in which case one full rip-up round breaks the oscillation
-        // that pinned legal nets can otherwise sustain forever.
-        const bool full_rip_up = iter == 1 || !opts.incremental ||
-                                 (opts.stall_full_reroute > 0 &&
-                                  stall >= opts.stall_full_reroute);
+        // afterwards only nets touching an over-capacity node (every user of
+        // a congested node is implicated) or with unrouted sinks are ripped
+        // up — unless congestion has stalled, in which case one full rip-up
+        // round breaks the oscillation that pinned legal nets can otherwise
+        // sustain forever.
+        const bool full_rip_up =
+            iter == 1 || (opts.stall_full_reroute > 0 && stall >= opts.stall_full_reroute);
         if (full_rip_up) stall = 0;
         dirty.clear();
         for (std::size_t ri = 0; ri < reqs.size(); ++ri) {
@@ -170,7 +169,6 @@ std::uint64_t RouterOptions::fingerprint() const noexcept {
         .mix(pres_fac_mult)
         .mix(hist_fac)
         .mix(astar_fac)
-        .mix(incremental)
         .mix(stall_full_reroute)
         .mix(verbose)
         .mix(threads)

@@ -64,14 +64,12 @@ struct RouterOptions {
     double pres_fac_mult = 1.7;     ///< growth of pres_fac per iteration
     double hist_fac = 1.0;          ///< history-cost weight
     double astar_fac = 1.0;         ///< 0 = pure Dijkstra
-    /// After the first iteration only rip up and reroute nets that touch an
-    /// over-capacity node (or have unrouted sinks); legal nets keep their
-    /// trees. false = classic PathFinder full rip-up every iteration.
-    bool incremental = true;
-    /// Incremental mode can deadlock near saturation: a small conflict set
+    /// After the first iteration only nets that touch an over-capacity node
+    /// (or have unrouted sinks) are ripped up and rerouted; legal nets keep
+    /// their trees. That can deadlock near saturation: a small conflict set
     /// oscillates while every legal net stays pinned in place. After this
     /// many iterations without overuse improvement, fall back to one full
-    /// rip-up round to shake the whole configuration loose.
+    /// rip-up round to shake the whole configuration loose (0 = never).
     int stall_full_reroute = 4;
     bool verbose = false;    ///< print per-iteration congestion to stderr
 

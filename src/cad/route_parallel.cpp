@@ -185,7 +185,7 @@ RoutingResult route_parallel(const RRGraph& rr, const std::vector<RouteRequest>&
     for (int iter = 1; iter <= opts.max_iterations; ++iter) {
         // --- work selection: same rule and order as the serial router --------
         const bool stalled = opts.stall_full_reroute > 0 && stall >= opts.stall_full_reroute;
-        const bool full_rip_up = iter == 1 || !opts.incremental || stalled;
+        const bool full_rip_up = iter == 1 || stalled;
         if (stalled) {
             // The conflict set is stuck inside too-tight regions: widen every
             // net pinned on an overused node before shaking the whole

@@ -1,5 +1,6 @@
 #include "cad/wire.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "base/check.hpp"
@@ -299,6 +300,31 @@ asynclib::MappingHints decode_hints(BlobReader& r) {
     return h;
 }
 
+namespace {
+
+/// Ceiling on the placement replica count and on every thread count a peer
+/// may request. A daemon sizes replica vectors and thread pools from these
+/// fields, so an unbounded value is a resource-exhaustion lever; the cap sits
+/// far above the handful of workers any real grid asks for.
+constexpr std::int64_t kMaxWireParallelism = 1024;
+
+/// A non-negative i64 count that must fit an `int` field (and `max`).
+int get_int_count(BlobReader& r, const char* field,
+                  std::int64_t max = std::numeric_limits<int>::max()) {
+    const std::int64_t v = r.i64();
+    check(v >= 0 && v <= max, std::string("wire: ") + field + " out of range");
+    return static_cast<int>(v);
+}
+
+/// A u32 thread count bounded by kMaxWireParallelism.
+unsigned get_thread_count(BlobReader& r, const char* field) {
+    const std::uint32_t v = r.u32();
+    check(v <= kMaxWireParallelism, std::string("wire: ") + field + " out of range");
+    return v;
+}
+
+}  // namespace
+
 void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     // Pin every struct whose fields are enumerated here, exactly like the
     // fingerprint() implementations: adding a knob without teaching the wire
@@ -320,7 +346,6 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     w.f64(o.place.alpha);
     w.f64(o.place.moves_scale);
     w.boolean(o.place.anneal);
-    w.boolean(o.place.incremental);
     w.u8(static_cast<std::uint8_t>(o.place.algorithm));
     w.i64(o.place.parallel_seeds);
     w.u32(o.place.threads);
@@ -338,7 +363,6 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     w.f64(o.route.pres_fac_mult);
     w.f64(o.route.hist_fac);
     w.f64(o.route.astar_fac);
-    w.boolean(o.route.incremental);
     w.i64(o.route.stall_full_reroute);
     w.boolean(o.route.verbose);
     w.u32(o.route.threads);
@@ -360,31 +384,29 @@ FlowOptions decode_flow_options(BlobReader& r) {
     o.place.alpha = r.f64();
     o.place.moves_scale = r.f64();
     o.place.anneal = r.boolean();
-    o.place.incremental = r.boolean();
     const std::uint8_t alg = r.u8();
     check(alg <= static_cast<std::uint8_t>(PlaceAlgorithm::Multilevel),
           "wire: place algorithm out of range");
     o.place.algorithm = static_cast<PlaceAlgorithm>(alg);
-    o.place.parallel_seeds = static_cast<int>(r.i64());
-    o.place.threads = r.u32();
-    o.place.max_rounds = static_cast<int>(r.i64());
-    o.place.solver_passes = static_cast<int>(r.i64());
-    o.place.solver_max_iters = static_cast<int>(r.i64());
-    o.place.polish_rounds = static_cast<int>(r.i64());
+    o.place.parallel_seeds = get_int_count(r, "place parallel_seeds", kMaxWireParallelism);
+    o.place.threads = get_thread_count(r, "place threads");
+    o.place.max_rounds = get_int_count(r, "place max_rounds");
+    o.place.solver_passes = get_int_count(r, "place solver_passes");
+    o.place.solver_max_iters = get_int_count(r, "place solver_max_iters");
+    o.place.polish_rounds = get_int_count(r, "place polish_rounds");
     o.place.solver_tolerance = r.f64();
     o.place.anchor_weight = r.f64();
     o.place.coarsen_ratio = r.f64();
-    o.place.min_coarse_nodes = static_cast<int>(r.i64());
-    o.place.max_levels = static_cast<int>(r.i64());
-    o.route.max_iterations = static_cast<int>(r.i64());
+    o.place.min_coarse_nodes = get_int_count(r, "place min_coarse_nodes");
+    o.place.max_levels = get_int_count(r, "place max_levels");
+    o.route.max_iterations = get_int_count(r, "route max_iterations");
     o.route.pres_fac_first = r.f64();
     o.route.pres_fac_mult = r.f64();
     o.route.hist_fac = r.f64();
     o.route.astar_fac = r.f64();
-    o.route.incremental = r.boolean();
-    o.route.stall_full_reroute = static_cast<int>(r.i64());
+    o.route.stall_full_reroute = get_int_count(r, "route stall_full_reroute");
     o.route.verbose = r.boolean();
-    o.route.threads = r.u32();
+    o.route.threads = get_thread_count(r, "route threads");
     o.route.bin_margin = r.u32();
     o.route.min_bin_dim = r.u32();
     o.pde_extra_margin = r.f64();
@@ -458,7 +480,11 @@ SubmitMsg decode_submit(const std::vector<std::uint8_t>& p) {
     return decode_full(p, [](BlobReader& r) {
         SubmitMsg m;
         m.name = r.str();
-        m.priority = static_cast<std::int32_t>(r.i64());
+        const std::int64_t priority = r.i64();
+        check(priority >= std::numeric_limits<std::int32_t>::min() &&
+                  priority <= std::numeric_limits<std::int32_t>::max(),
+              "wire: priority out of range");
+        m.priority = static_cast<std::int32_t>(priority);
         m.nl = decode_netlist(r);
         m.hints = decode_hints(r);
         // Hint net ids are meaningless outside the netlist they arrived

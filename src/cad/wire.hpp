@@ -40,7 +40,7 @@ namespace afpga::cad::wire {
 /// Frame magic: "AFPW" read as a little-endian u32.
 inline constexpr std::uint32_t kMagic = 0x57504641u;
 /// Protocol version; see the file comment's version policy.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Fixed frame-header size in bytes.
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Hard cap on a single frame's payload — anything larger is malformed by
@@ -147,7 +147,9 @@ void encode_hints(const asynclib::MappingHints& h, BlobWriter& w);
 /// artifact_store pointers never cross the wire — the server wires in its
 /// own shared store and RR memo.
 void encode_flow_options(const FlowOptions& o, BlobWriter& w);
-/// Inverse of encode_flow_options; throws base::Error on corruption.
+/// Inverse of encode_flow_options; throws base::Error on corruption, on a
+/// negative count or one that does not fit its field, and on a replica or
+/// thread count above the decoder's parallelism cap.
 [[nodiscard]] FlowOptions decode_flow_options(BlobReader& r);
 
 // --- messages ---------------------------------------------------------------

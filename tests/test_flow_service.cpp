@@ -173,16 +173,16 @@ TEST(ArtifactCache, TelemetryJsonCarriesKeyAndHit) {
 
 TEST(FlowService, MixedGridMatchesSerialLoopByteForByte) {
     // The CI smoke: a small mixed grid — two designs x two seeds x two
-    // route-knob settings — through one warm-cached service must equal the
-    // plain serial run_flow loop on every job.
+    // route-knob settings, plus one job racing placement replicas on its
+    // own pool inside a service worker — must equal the plain serial
+    // run_flow loop on every job. It runs under every sharing mode: a warm
+    // shared cache with one shared RR graph, the graph shared but no
+    // artifacts, and nothing shared (every job builds its own graph).
     auto adder = asynclib::make_qdi_adder(2);
     auto fifo = asynclib::make_wchb_fifo(2, 2);
     const core::ArchSpec arch;
 
-    std::vector<cad::FlowJob> jobs;
-    std::vector<cad::FlowOptions> ref_opts;
-    std::vector<const netlist::Netlist*> ref_nl;
-    std::vector<const asynclib::MappingHints*> ref_hints;
+    std::vector<cad::FlowJob> grid;
     for (const bool is_fifo : {false, true}) {
         for (const std::uint64_t seed : {1, 2}) {
             for (const double astar : {1.0, 0.0}) {
@@ -194,27 +194,57 @@ TEST(FlowService, MixedGridMatchesSerialLoopByteForByte) {
                 j.arch = arch;
                 j.opts.seed = seed;
                 j.opts.route.astar_fac = astar;
-                ref_opts.push_back(j.opts);
-                ref_nl.push_back(j.nl);
-                ref_hints.push_back(j.hints);
-                jobs.push_back(std::move(j));
+                grid.push_back(std::move(j));
             }
         }
     }
-
-    cad::FlowService svc;
-    const auto ids = svc.submit_grid(std::move(jobs));
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const cad::FlowJobResult& r = svc.wait(ids[i]);
-        ASSERT_TRUE(r.ok()) << r.name << ": " << r.error;
-        const auto serial = cad::run_flow(*ref_nl[i], *ref_hints[i], arch, ref_opts[i]);
-        EXPECT_EQ(testsupport::flow_fingerprint(serial),
-                  testsupport::flow_fingerprint(r.result))
-            << r.name;
+    {
+        cad::FlowJob j;
+        j.name = "adder_race";
+        j.nl = &adder.nl;
+        j.hints = &adder.hints;
+        j.arch = arch;
+        j.opts.seed = 13;
+        j.opts.place.parallel_seeds = 3;
+        j.opts.place.threads = 2;
+        grid.push_back(std::move(j));
     }
-    // The grid repeats upstream work across seeds/knobs, so the shared
-    // store must have produced real hits.
-    EXPECT_GT(svc.store().hits(), 0u);
+    std::vector<std::string> serial;
+    for (const cad::FlowJob& j : grid)
+        serial.push_back(
+            testsupport::flow_fingerprint(cad::run_flow(*j.nl, *j.hints, arch, j.opts)));
+
+    struct Sharing {
+        bool rr, artifacts;
+    };
+    for (const Sharing sharing : {Sharing{true, true}, Sharing{true, false},
+                                  Sharing{false, false}}) {
+        cad::FlowServiceOptions so;
+        so.share_rr = sharing.rr;
+        so.share_artifacts = sharing.artifacts;
+        cad::FlowService svc(so);
+        const auto ids = svc.submit_grid(grid);
+        const core::RRGraph* first_rr = nullptr;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            const cad::FlowJobResult& r = svc.wait(ids[i]);
+            ASSERT_TRUE(r.ok()) << r.name << ": " << r.error;
+            EXPECT_EQ(serial[i], testsupport::flow_fingerprint(r.result))
+                << r.name << " (share_rr=" << sharing.rr
+                << ", share_artifacts=" << sharing.artifacts << ")";
+            if (i == 0) {
+                first_rr = r.result.rr.get();
+            } else {
+                EXPECT_EQ(r.result.rr.get() == first_rr, sharing.rr)
+                    << r.name << ": RR graph sharing does not follow share_rr";
+            }
+        }
+        // The grid repeats upstream work across seeds/knobs, so a shared
+        // store must have produced real hits; an unshared one sees nothing.
+        if (sharing.artifacts)
+            EXPECT_GT(svc.store().hits(), 0u);
+        else
+            EXPECT_EQ(svc.store().hits() + svc.store().misses(), 0u);
+    }
 }
 
 TEST(FlowService, ConcurrentJobsShareOneStore) {
@@ -463,6 +493,9 @@ TEST(FlowService, PrewarmedRrIsSharedIntoResults) {
     const cad::FlowJobResult& r = svc.wait(id);
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.result.rr.get(), rr.get());  // one graph end to end
+    const cad::StageReport* route = r.result.telemetry.stage("route");
+    ASSERT_NE(route, nullptr);
+    EXPECT_NE(route->metric("rr_shared"), nullptr);
 }
 
 TEST(FlowServiceScheduling, PriorityOrdersDispatchAcrossSubmissionOrder) {

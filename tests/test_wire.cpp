@@ -5,11 +5,14 @@
 // frame as valid (mirroring test_serialize's truncation-at-every-prefix
 // idiom one layer down). The payload codecs — netlist (with handshake
 // feedback cycles and verbatim sink order), hints, flow options and all 18
-// messages — are pinned by re-encode byte identity, and Netlist::from_parts
-// rejects every class of structurally hostile table.
+// messages — are pinned by re-encode byte identity, a Submit carrying any
+// out-of-range count is rejected at decode, and Netlist::from_parts rejects
+// every class of structurally hostile table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -424,6 +427,125 @@ TEST(WireCodec, TruncatedPayloadsThrowAtEveryPrefix) {
         const std::vector<std::uint8_t> prefix(
             bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
         EXPECT_THROW((void)wire::decode_submit(prefix), base::Error) << "cut " << cut;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile counts: a peer that bypasses encode_flow_options can put any 64-bit
+// value in an int-sized count. Every such frame must be rejected when the
+// Submit payload is decoded — before a job could be built from it.
+// ---------------------------------------------------------------------------
+
+/// Encode `m`, overwrite the 8-byte little-endian encoding of `sentinel`
+/// (which must occur exactly once) with `hostile`, and frame the result.
+std::vector<std::uint8_t> patched_submit_frame(const wire::SubmitMsg& m, std::int64_t sentinel,
+                                               std::int64_t hostile) {
+    std::vector<std::uint8_t> payload = wire::encode_payload(m);
+    auto le = [](std::int64_t v) {
+        std::vector<std::uint8_t> b(8);
+        for (int i = 0; i < 8; ++i)
+            b[static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i));
+        return b;
+    };
+    const std::vector<std::uint8_t> needle = le(sentinel);
+    auto it = std::search(payload.begin(), payload.end(), needle.begin(), needle.end());
+    EXPECT_NE(it, payload.end()) << "sentinel not found";
+    EXPECT_EQ(std::search(it + 1, payload.end(), needle.begin(), needle.end()), payload.end())
+        << "sentinel is not unique";
+    const std::vector<std::uint8_t> value = le(hostile);
+    std::copy(value.begin(), value.end(), it);
+    return wire::encode_frame(wire::MsgType::Submit, payload);
+}
+
+/// The frame must pass framing (it is well formed) and fail payload decode.
+void expect_submit_rejected(const std::vector<std::uint8_t>& frame, const std::string& what) {
+    wire::FrameDecoder dec;
+    dec.feed(frame);
+    const auto f = dec.next();
+    ASSERT_TRUE(f.has_value()) << what;
+    ASSERT_EQ(f->type, wire::MsgType::Submit) << what;
+    EXPECT_THROW((void)wire::decode_submit(f->payload), base::Error) << what;
+}
+
+TEST(WireCodec, SubmitRejectsEveryOutOfRangeCount) {
+    auto adder = asynclib::make_qdi_adder(2);
+    wire::SubmitMsg base_msg;
+    base_msg.name = "hostile";
+    base_msg.nl = adder.nl;
+    base_msg.hints = adder.hints;
+    // The untouched message decodes: only the patched field is at fault.
+    EXPECT_NO_THROW((void)wire::decode_submit(wire::encode_payload(base_msg)));
+
+    // In-range stand-ins, unique in the payload, marking where a field sits.
+    constexpr std::int64_t kSentinel = 0x13572468;
+    constexpr std::int64_t kSmallSentinel = 977;  // under the replica cap
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    const std::int64_t too_wide[] = {-1, std::numeric_limits<std::int64_t>::min(), kIntMax + 1,
+                                     std::numeric_limits<std::int64_t>::max()};
+
+    // Every i64 count of the flow options, and the job's int32 priority.
+    struct Field {
+        const char* name;
+        std::int64_t sentinel;
+        void (*set)(wire::SubmitMsg&, int);
+    };
+    const Field fields[] = {
+        {"place.parallel_seeds", kSmallSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.parallel_seeds = v; }},
+        {"place.max_rounds", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.max_rounds = v; }},
+        {"place.solver_passes", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.solver_passes = v; }},
+        {"place.solver_max_iters", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.solver_max_iters = v; }},
+        {"place.polish_rounds", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.polish_rounds = v; }},
+        {"place.min_coarse_nodes", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.min_coarse_nodes = v; }},
+        {"place.max_levels", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.place.max_levels = v; }},
+        {"route.max_iterations", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.route.max_iterations = v; }},
+        {"route.stall_full_reroute", kSentinel,
+         [](wire::SubmitMsg& m, int v) { m.opts.route.stall_full_reroute = v; }},
+    };
+    for (const Field& f : fields) {
+        wire::SubmitMsg m = base_msg;
+        f.set(m, static_cast<int>(f.sentinel));
+        EXPECT_NO_THROW((void)wire::decode_submit(wire::encode_payload(m))) << f.name;
+        for (const std::int64_t v : too_wide)
+            expect_submit_rejected(patched_submit_frame(m, f.sentinel, v),
+                                   std::string(f.name) + " = " + std::to_string(v));
+    }
+    {
+        wire::SubmitMsg m = base_msg;
+        m.priority = static_cast<int>(kSentinel);
+        for (const std::int64_t v : {std::int64_t{std::numeric_limits<std::int32_t>::min()} - 1,
+                                     std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1})
+            expect_submit_rejected(patched_submit_frame(m, kSentinel, v),
+                                   "priority = " + std::to_string(v));
+    }
+
+    // Replica and thread counts that fit their fields but would size a
+    // replica vector or a thread pool far past any real grid.
+    {
+        wire::SubmitMsg m = base_msg;
+        m.opts.place.parallel_seeds = std::numeric_limits<int>::max();
+        expect_submit_rejected(wire::encode_frame(wire::MsgType::Submit, wire::encode_payload(m)),
+                               "place.parallel_seeds = INT_MAX");
+    }
+    for (const unsigned threads : {1u << 20, std::numeric_limits<unsigned>::max()}) {
+        wire::SubmitMsg place = base_msg;
+        place.opts.place.threads = threads;
+        expect_submit_rejected(
+            wire::encode_frame(wire::MsgType::Submit, wire::encode_payload(place)),
+            "place.threads = " + std::to_string(threads));
+        wire::SubmitMsg route = base_msg;
+        route.opts.route.threads = threads;
+        expect_submit_rejected(
+            wire::encode_frame(wire::MsgType::Submit, wire::encode_payload(route)),
+            "route.threads = " + std::to_string(threads));
     }
 }
 
