@@ -27,6 +27,12 @@ inline void check(bool condition, const std::string& message) {
     if (!condition) throw Error(message);
 }
 
+/// Literal-message overload: builds no std::string unless the check fails,
+/// so a check in a per-bit or per-move loop costs one branch.
+inline void check(bool condition, const char* message) {
+    if (!condition) throw Error(message);
+}
+
 /// Unconditionally throw Error with `message`.
 [[noreturn]] inline void fail(const std::string& message) { throw Error(message); }
 

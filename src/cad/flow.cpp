@@ -156,7 +156,7 @@ private:
         report.add_metric("moves_tried", static_cast<double>(pl.moves_tried));
         report.add_metric("moves_accepted", static_cast<double>(pl.moves_accepted));
         report.add_metric("engine", static_cast<double>(pl.engine));
-        if (pl.engine == PlaceEngine::Analytical || pl.engine == PlaceEngine::Multilevel) {
+        if (pl.engine == PlaceEngine::Multilevel) {
             const AnalyticalStats& an = pl.analytical;
             report.add_metric("solver_iterations", static_cast<double>(an.solver_iterations));
             report.add_metric("solver_passes", static_cast<double>(an.solver_passes));
@@ -664,7 +664,7 @@ std::uint64_t FlowOptions::fingerprint() const noexcept {
     // prebuilt_rr and artifact_store are deliberately NOT mixed: they are
     // plumbing, not semantics (the RR graph is a pure function of the arch,
     // and the store only changes where products come from).
-    static_assert(sizeof(FlowOptions) == 232,
+    static_assert(sizeof(FlowOptions) == 224,
                   "FlowOptions changed: update fingerprint() and this assert");
     Fingerprint f;
     f.mix(seed)

@@ -8,7 +8,6 @@
 #include "base/threadpool.hpp"
 #include "base/timer.hpp"
 #include "cad/fingerprint.hpp"
-#include "cad/place_analytical.hpp"
 #include "cad/place_cost.hpp"
 #include "cad/place_model.hpp"
 #include "cad/place_multilevel.hpp"
@@ -55,7 +54,7 @@ struct State {
 ///
 /// Cold runs (`init_loc == nullptr`) start from a seeded random placement
 /// and derive the initial temperature from an accept-everything probe. Warm
-/// runs (the analytical engine's polish pass) start from the given
+/// runs (the multilevel engine's polish pass) start from the given
 /// placement, skip the probe — its 100 accept-all moves would destroy the
 /// warm start — and open at a low temperature so only local refinement
 /// survives.
@@ -275,16 +274,181 @@ Placement anneal_single(const MappedDesign& md, const PlaceModel& model,
     return result;
 }
 
-/// One analytical-family replica: global placement + legalization (flat
-/// cad/place_analytical.cpp, or the cad/place_multilevel.cpp V-cycle when
-/// `engine == PlaceEngine::Multilevel`), then the optional warm-start
-/// polish anneal — both engines share the polish/descent tail.
-Placement place_analytical_single(const MappedDesign& md, const PlaceModel& model,
-                                  const PlaceOptions& opts, std::uint64_t seed,
-                                  PlaceEngine engine) {
-    AnalyticalResult ar = engine == PlaceEngine::Multilevel
-                              ? place_multilevel_global(model, opts, seed)
-                              : place_analytical_global(model, opts, seed);
+/// Deterministic detailed-placement descent on the real bounding-box cost:
+/// each cluster, in index order, takes the best strictly-improving free
+/// site or swap inside a small window, then each io slot takes the best
+/// strictly-improving pad move or pad swap; passes repeat until dry. Pure
+/// function of its inputs. The driver runs it as the final step, after the
+/// polish anneal — descending before annealing traps the anneal in the
+/// descent's local basin and measurably worsens the result. Cluster passes
+/// (windowed moves/swaps) alternate with pad passes (every pad, plus pad
+/// swaps): on I/O-heavy designs most of the recoverable wirelength is in
+/// the pad assignment, which greedy seeding and short polishing leave
+/// suboptimal.
+void refine_detailed(const PlaceModel& model, std::vector<std::uint32_t>& pad_of_io,
+                     std::vector<core::PlbCoord>& loc) {
+    const std::uint32_t W = model.arch->width;
+    const std::uint32_t H = model.arch->height;
+    constexpr int kRadius = 3;
+    constexpr int kMaxPasses = 16;
+    const std::size_t n = model.num_clusters;
+    const std::size_t n_io = model.io_entity_ids.size();
+    const std::size_t n_pads = model.pad_pts.size();
+    constexpr std::uint32_t kFree = 0xffffffffu;
+    std::vector<std::uint32_t> grid(std::size_t{W} * H, kFree);
+    auto cell = [&](std::uint32_t gx, std::uint32_t gy) -> std::uint32_t& {
+        return grid[std::size_t{gy} * W + gx];
+    };
+    for (std::size_t i = 0; i < n; ++i) cell(loc[i].x, loc[i].y) = static_cast<std::uint32_t>(i);
+    std::vector<std::uint32_t> pad_owner(n_pads, kFree);
+    for (std::size_t s = 0; s < n_io; ++s) pad_owner[pad_of_io[s]] = static_cast<std::uint32_t>(s);
+
+    // Cost over the nets touching entity a (and b, when swapping),
+    // deduplicated — the only terms a move can change.
+    std::vector<std::size_t> touched;
+    auto cost_around = [&](std::size_t ea, std::size_t eb) {
+        touched.clear();
+        touched.insert(touched.end(), model.nets_of_entity[ea].begin(),
+                       model.nets_of_entity[ea].end());
+        if (eb != SIZE_MAX)
+            touched.insert(touched.end(), model.nets_of_entity[eb].begin(),
+                           model.nets_of_entity[eb].end());
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+        double c = 0;
+        for (std::size_t ni : touched) c += model.net_cost(model.nets[ni], loc, pad_of_io);
+        return c;
+    };
+
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
+        bool improved = false;
+        for (std::size_t i = 0; i < n; ++i) {
+            const core::PlbCoord from = loc[i];
+            const std::uint32_t ty0 =
+                from.y > static_cast<std::uint32_t>(kRadius) ? from.y - kRadius : 0;
+            const std::uint32_t ty1 = std::min(H - 1, from.y + kRadius);
+            const std::uint32_t tx0 =
+                from.x > static_cast<std::uint32_t>(kRadius) ? from.x - kRadius : 0;
+            const std::uint32_t tx1 = std::min(W - 1, from.x + kRadius);
+            double best_delta = -1e-9;  // strict improvement only
+            core::PlbCoord best_to{};
+            bool have = false;
+            for (std::uint32_t ty = ty0; ty <= ty1; ++ty)
+                for (std::uint32_t tx = tx0; tx <= tx1; ++tx) {
+                    if (tx == from.x && ty == from.y) continue;
+                    const std::uint32_t occ = cell(tx, ty);
+                    const std::size_t j = occ == kFree ? SIZE_MAX : occ;
+                    const double before = cost_around(i, j);
+                    loc[i] = {tx, ty};
+                    if (j != SIZE_MAX) loc[j] = from;
+                    const double delta = cost_around(i, j) - before;
+                    loc[i] = from;
+                    if (j != SIZE_MAX) loc[j] = {tx, ty};
+                    if (delta < best_delta) {
+                        best_delta = delta;
+                        best_to = {tx, ty};
+                        have = true;
+                    }
+                }
+            if (have) {
+                const std::uint32_t occ = cell(best_to.x, best_to.y);
+                loc[i] = best_to;
+                if (occ != kFree) {
+                    loc[occ] = from;
+                    cell(from.x, from.y) = occ;
+                } else {
+                    cell(from.x, from.y) = kFree;
+                }
+                cell(best_to.x, best_to.y) = static_cast<std::uint32_t>(i);
+                improved = true;
+            }
+        }
+        // Pad pass: each io slot, in slot order, tries pads in a Manhattan
+        // window around the centroid of the other entities on its nets —
+        // free pads as moves, owned pads as slot swaps. Full-delta
+        // evaluation of every pad made this pass O(n_io * n_pads * pins)
+        // and it dominated the entire placer at 100x100; every pad still
+        // gets a cheap distance test, but only pads within kPadWindow of
+        // the nearest-pad distance to the centroid (where any improving
+        // move must roughly land, since the moved slot's nets are anchored
+        // at that centroid) pay for a full delta.
+        constexpr double kPadWindow = 8.0;
+        for (std::size_t s = 0; s < n_io; ++s) {
+            const std::size_t es = model.io_entity_ids[s];
+            const std::uint32_t from = pad_of_io[s];
+            double gx = model.pad_pts[from].x;
+            double gy = model.pad_pts[from].y;
+            {
+                double sx = 0;
+                double sy = 0;
+                std::size_t cnt = 0;
+                for (std::size_t ni : model.nets_of_entity[es])
+                    for (std::size_t other : model.nets[ni].entities) {
+                        if (other == es) continue;
+                        const PlaceEntity& e = model.entities[other];
+                        const PlacePt p = e.kind == PlaceEntity::Kind::Cluster
+                                              ? PlacePt{loc[e.index].x + 1.0, loc[e.index].y + 1.0}
+                                              : model.pad_pts[pad_of_io[e.io_slot]];
+                        sx += p.x;
+                        sy += p.y;
+                        ++cnt;
+                    }
+                if (cnt != 0) {
+                    gx = sx / static_cast<double>(cnt);
+                    gy = sy / static_cast<double>(cnt);
+                }
+            }
+            double d_floor = 1e300;
+            for (std::uint32_t p = 0; p < n_pads; ++p)
+                d_floor = std::min(d_floor, std::abs(model.pad_pts[p].x - gx) +
+                                                std::abs(model.pad_pts[p].y - gy));
+            const double d_cut = d_floor + kPadWindow;
+            double best_delta = -1e-9;  // strict improvement only
+            std::uint32_t best_pad = 0;
+            bool have = false;
+            for (std::uint32_t p = 0; p < n_pads; ++p) {
+                if (p == from) continue;
+                if (std::abs(model.pad_pts[p].x - gx) + std::abs(model.pad_pts[p].y - gy) >
+                    d_cut)
+                    continue;
+                const std::uint32_t owner = pad_owner[p];
+                const std::size_t t = owner == kFree ? SIZE_MAX : owner;
+                const std::size_t et = t == SIZE_MAX ? SIZE_MAX : model.io_entity_ids[t];
+                const double before = cost_around(es, et);
+                pad_of_io[s] = p;
+                if (t != SIZE_MAX) pad_of_io[t] = from;
+                const double delta = cost_around(es, et) - before;
+                pad_of_io[s] = from;
+                if (t != SIZE_MAX) pad_of_io[t] = p;
+                if (delta < best_delta) {
+                    best_delta = delta;
+                    best_pad = p;
+                    have = true;
+                }
+            }
+            if (have) {
+                const std::uint32_t owner = pad_owner[best_pad];
+                pad_of_io[s] = best_pad;
+                if (owner != kFree) {
+                    pad_of_io[owner] = from;
+                    pad_owner[from] = owner;
+                } else {
+                    pad_owner[from] = kFree;
+                }
+                pad_owner[best_pad] = static_cast<std::uint32_t>(s);
+                improved = true;
+            }
+        }
+        if (!improved) break;
+    }
+}
+
+/// One multilevel replica: V-cycle global placement + legalization
+/// (cad/place_multilevel.cpp), then the optional warm-start polish anneal
+/// and the detailed descent.
+Placement multilevel_single(const MappedDesign& md, const PlaceModel& model,
+                            const PlaceOptions& opts, std::uint64_t seed) {
+    AnalyticalResult ar = place_multilevel_global(model, opts, seed);
     Placement result;
     if (opts.polish_rounds > 0 && !model.nets.empty()) {
         result = anneal_single(md, model, opts, seed, &ar.cluster_loc, &ar.pad_of_io,
@@ -315,7 +479,7 @@ Placement place_analytical_single(const MappedDesign& md, const PlaceModel& mode
                 ar.pad_of_io[md.primary_inputs.size() + i];
         result.final_cost = model.total_cost(ar.cluster_loc, ar.pad_of_io);
     }
-    result.engine = engine;
+    result.engine = PlaceEngine::Multilevel;
     result.analytical = std::move(ar.stats);
     return result;
 }
@@ -326,20 +490,17 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
                 const PlaceOptions& opts) {
     const PlaceModel model(pd, md, arch);
 
-    if (opts.algorithm == PlaceAlgorithm::Analytical)
-        return place_analytical_single(md, model, opts, opts.seed, PlaceEngine::Analytical);
     if (opts.algorithm == PlaceAlgorithm::Multilevel)
-        return place_analytical_single(md, model, opts, opts.seed, PlaceEngine::Multilevel);
+        return multilevel_single(md, model, opts, opts.seed);
 
     const int n_anneal = std::max(1, opts.parallel_seeds);
-    const bool with_analytical = opts.algorithm == PlaceAlgorithm::Race;
-    const int n = n_anneal + (with_analytical ? 2 : 0);
+    const bool with_multilevel = opts.algorithm == PlaceAlgorithm::Race;
+    const int n = n_anneal + (with_multilevel ? 1 : 0);
     if (n == 1)
         return anneal_single(md, model, opts, opts.seed, nullptr, nullptr, opts.max_rounds);
 
     // Race N independently-seeded replicas on the pool (in Race mode the
-    // flat analytical and multilevel engines are the two final replicas, in
-    // that fixed order). Every replica is a pure
+    // multilevel engine is the final replica). Every replica is a pure
     // function of (model, opts, derived seed), and the winner is picked by
     // (final_cost, replica index) over the results in replica order, so the
     // outcome is identical whatever the pool size is. Replica slots outlive
@@ -358,11 +519,8 @@ Placement place(const PackedDesign& pd, const MappedDesign& md, const core::Arch
     pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t i) {
         base::WallTimer t;
         const std::uint64_t rseed = base::Rng::derive_seed(opts.seed, i);
-        if (with_analytical && i >= static_cast<std::size_t>(n_anneal))
-            results[i] = place_analytical_single(
-                md, model, opts, rseed,
-                i == static_cast<std::size_t>(n_anneal) ? PlaceEngine::Analytical
-                                                        : PlaceEngine::Multilevel);
+        if (with_multilevel && i == static_cast<std::size_t>(n_anneal))
+            results[i] = multilevel_single(md, model, opts, rseed);
         else
             results[i] = anneal_single(md, model, opts, rseed, nullptr, nullptr,
                                        opts.max_rounds);

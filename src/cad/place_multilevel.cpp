@@ -14,7 +14,8 @@ namespace afpga::cad {
 
 namespace {
 
-/// Minimum pin separation in B2B weights (matches the flat engine).
+/// Minimum pin separation in B2B weights (keeps 1/d bounded when pins
+/// coincide).
 constexpr double kB2bEps = 1e-2;
 
 /// Intermediate levels run solver_passes / kLevelPassShrink refinement
@@ -22,15 +23,15 @@ constexpr double kB2bEps = 1e-2;
 /// carries the global structure, so the descent only irons out
 /// interpolation artifacts. This is where the speedup comes from — the
 /// full schedule runs only on the coarsest few hundred super-nodes.
-/// Running the descent short also keeps the growing anchor-weight
-/// schedule close to the flat engine's range, which measurably improves
-/// the finest solution (strong leftover anchors pin nodes to their
+/// Running the descent short also keeps the growing anchor weight close
+/// to the range of a single full schedule, which measurably improves the
+/// finest solution (strong leftover anchors pin nodes to their
 /// interpolated spots).
 constexpr int kLevelPassShrink = 16;
 
 /// The finest level gets solver_passes / kFinestPassShrink passes — more
 /// than the intermediate levels, because its result is the one that
-/// legalizes, but still far short of the flat engine's full schedule.
+/// legalizes, but still far short of the full schedule.
 constexpr int kFinestPassShrink = 4;
 
 /// Sub-coarsest levels also cap CG iterations at solver_max_iters /
@@ -40,17 +41,20 @@ constexpr int kFinestPassShrink = 4;
 /// only re-tighten what spreading is about to move anyway.
 constexpr int kLevelIterShrink = 6;
 
-/// Deterministic RNG-free per-index jitter in [-0.25, 0.25] — the flat
-/// engine's init recipe, reused for coarsest init and interpolation so
-/// coincident nodes never hand the B2B model all-degenerate bounds.
+/// Deterministic RNG-free per-index jitter in [-0.25, 0.25], used for the
+/// coarsest init and for interpolation so coincident nodes never hand the
+/// B2B model all-degenerate bounds.
 double jitter(std::size_t i, int shift) {
     const std::uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ull;
     return (static_cast<double>((h >> shift) & 1023) / 1023.0 - 0.5) * 0.5;
 }
 
-/// Assemble one axis of the B2B model over a coarse level: identical to
-/// the flat engine's build_axis except pins are level nodes / io slots and
-/// the contracted net multiplicity multiplies the B2B weight.
+/// Assemble one axis of the B2B model over a level into the caller's
+/// reusable system: for each net, the two bound pins (min/max coordinate,
+/// first-in-pin-order on ties) connect to each other and to every interior
+/// pin with weight multiplicity * 2 / ((p-1) * max(dist, eps)). Pins are
+/// level nodes (movable) or io slots (fixed pads, folded into diag/rhs);
+/// anchor targets (spreading) attach every node to a fixed pseudo-pin.
 void build_level_axis(const CoarseLevel& lv, const PlaceModel& model, int axis,
                       const std::vector<double>& cx, const std::vector<double>& cy,
                       const std::vector<std::uint32_t>& pad_of_io,
@@ -129,13 +133,15 @@ struct PadScratch {
     std::vector<std::uint32_t> out;
 };
 
-/// Greedy deterministic pad refinement at one level — the flat engine's
-/// refine_pads with node weights: each io slot, in slot order, takes the
-/// free pad nearest (Manhattan) to the weight-weighted centroid of the
-/// level nodes on its nets; ties keep the lowest pad index. The PadFrame
-/// answers each nearest-free query in O(log n_pads), which is what lets
-/// the coarsest level run its full pass schedule without an
-/// O(n_io * n_pads) scan per pass swamping the cheap coarse solves.
+/// Greedy deterministic pad refinement at one level: each io slot, in slot
+/// order, takes the free pad nearest (Manhattan) to the weight-weighted
+/// centroid of the level nodes on its nets; ties keep the lowest pad index.
+/// It runs every pass because on I/O-heavy designs the pad assignment
+/// dominates the cost and the pads are the solver's fixed anchors, so the
+/// two must co-converge. The PadFrame answers each nearest-free query in
+/// O(log n_pads), which is what lets the coarsest level run its full pass
+/// schedule without an O(n_io * n_pads) scan per pass swamping the cheap
+/// coarse solves.
 void refine_level_pads(const CoarseLevel& lv,
                        const std::vector<std::vector<std::uint32_t>>& nets_of_io,
                        const std::vector<double>& cx, const std::vector<double>& cy,
@@ -177,6 +183,32 @@ void refine_level_pads(const CoarseLevel& lv,
     pad_of_io = scratch.out;
 }
 
+/// HPWL over the fractional (pre-legalization) coordinates — the
+/// `pre_legal_cost` telemetry.
+double fractional_cost(const PlaceModel& model, const std::vector<double>& cx,
+                       const std::vector<double>& cy,
+                       const std::vector<std::uint32_t>& pad_of_io) {
+    double total = 0;
+    for (const PlaceNet& net : model.nets) {
+        double xmin = 1e18;
+        double xmax = -1e18;
+        double ymin = 1e18;
+        double ymax = -1e18;
+        for (std::size_t eid : net.entities) {
+            const PlaceEntity& e = model.entities[eid];
+            const PlacePt p = e.kind == PlaceEntity::Kind::Cluster
+                                  ? PlacePt{cx[e.index], cy[e.index]}
+                                  : model.pad_pts[pad_of_io[e.io_slot]];
+            xmin = std::min(xmin, p.x);
+            xmax = std::max(xmax, p.x);
+            ymin = std::min(ymin, p.y);
+            ymax = std::max(ymax, p.y);
+        }
+        total += (xmax - xmin) + (ymax - ymin);
+    }
+    return total;
+}
+
 }  // namespace
 
 AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOptions& opts,
@@ -185,8 +217,8 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
     const std::uint32_t H = model.arch->height;
     AnalyticalResult res;
 
-    // Seeded pad shuffle — the same init recipe as the flat engine and the
-    // annealer, so the engines start from comparably random I/O assignments.
+    // Seeded pad shuffle — the same init recipe as the annealer, so the
+    // engines start from comparably random I/O assignments.
     res.pad_of_io.resize(model.io_entity_ids.size());
     {
         base::Rng rng(seed);
@@ -216,8 +248,8 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
     std::vector<std::vector<std::uint32_t>> nets_of_io;
     bool have_targets = false;
     // The anchor pass counter carries across levels: the anchor weight
-    // keeps growing down the hierarchy exactly as it grows across the flat
-    // engine's passes, so the finest level arrives legalization-ready.
+    // keeps growing down the hierarchy as it would across one long pass
+    // schedule, so the finest level arrives legalization-ready.
     int anchor_pass = 0;
     double anchor_w = 0.0;
 
@@ -305,9 +337,14 @@ AnalyticalResult place_multilevel_global(const PlaceModel& model, const PlaceOpt
         }
 
         if (li == 0) {
-            // Closing sequence at the finest level, mirroring the flat
-            // engine: re-seat pads, one closing solve, then legalize from a
-            // final round of density-feasible bisection targets.
+            // Closing sequence at the finest level: re-seat pads, one
+            // closing solve, then legalize from a final round of
+            // bisection targets rather than from the raw solve. The
+            // closing solve re-clumps (its anchors are mild), and handing
+            // the displacement-greedy Tetris pass a dense clump lets it
+            // scatter nets arbitrarily; the targets are density-feasible
+            // while staying as close to the solved positions as capacity
+            // allows, so legalization degenerates to a near-identity snap.
             if (lv.num_io != 0)
                 refine_level_pads(lv, nets_of_io, cx, cy, res.pad_of_io, pads);
             solve_axes();

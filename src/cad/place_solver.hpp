@@ -1,10 +1,9 @@
 /// \file
-/// Shared numeric machinery of the analytical placement engines: the
-/// per-axis quadratic system (Laplacian + anchors, assembled from
-/// deterministic-order triplets into CSR), the Jacobi-preconditioned
-/// conjugate-gradient solver, and weighted recursive-bisection spreading.
-/// Both the flat engine (cad/place_analytical.cpp) and the multilevel
-/// V-cycle (cad/place_multilevel.cpp) build on these.
+/// Numeric machinery of the multilevel analytical placer
+/// (cad/place_multilevel.cpp): the per-axis quadratic system (Laplacian +
+/// anchors, assembled from deterministic-order triplets into CSR), the
+/// Jacobi-preconditioned conjugate-gradient solver, and weighted
+/// recursive-bisection spreading.
 ///
 /// Every type here is designed for reuse across passes: QuadSystem,
 /// PcgScratch and SpreadScratch keep their buffers between calls, so the

@@ -1,7 +1,6 @@
 #include "cad/route.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include <utility>
 
 #include "cad/fingerprint.hpp"
 #include "cad/route_search.hpp"
@@ -120,21 +119,6 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
         } else {
             ++stall;
         }
-        if (opts.verbose) {
-            std::fprintf(stderr, "[router] iter %d rerouted=%zu overused=%zu pres=%.3g\n", iter,
-                         dirty.size(), overused, pres_fac);
-            for (std::uint32_t n = 0; n < N; ++n) {
-                if (occ[n] <= rr.node_capacity(n)) continue;
-                const core::RRNode& nd = rr.node(n);
-                std::string users;
-                for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-                    if (std::find(net_nodes[ri].begin(), net_nodes[ri].end(), n) !=
-                        net_nodes[ri].end())
-                        users += " net" + std::to_string(ri);
-                std::fprintf(stderr, "  %s(%u,%u)#%u occ=%u%s\n", to_string(nd.kind).c_str(),
-                             nd.x, nd.y, nd.track, occ[n], users.c_str());
-            }
-        }
         if (overused == 0 && all_routed) {
             result.success = true;
             break;
@@ -161,7 +145,7 @@ RoutingResult route(const RRGraph& rr, const std::vector<RouteRequest>& reqs,
 }
 
 std::uint64_t RouterOptions::fingerprint() const noexcept {
-    static_assert(sizeof(RouterOptions) == 64,
+    static_assert(sizeof(RouterOptions) == 56,
                   "RouterOptions changed: update fingerprint() and this assert");
     Fingerprint f;
     f.mix(max_iterations)
@@ -170,7 +154,6 @@ std::uint64_t RouterOptions::fingerprint() const noexcept {
         .mix(hist_fac)
         .mix(astar_fac)
         .mix(stall_full_reroute)
-        .mix(verbose)
         .mix(threads)
         .mix(bin_margin)
         .mix(min_bin_dim);

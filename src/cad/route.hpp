@@ -71,7 +71,6 @@ struct RouterOptions {
     /// many iterations without overuse improvement, fall back to one full
     /// rip-up round to shake the whole configuration loose (0 = never).
     int stall_full_reroute = 4;
-    bool verbose = false;    ///< print per-iteration congestion to stderr
 
     // --- partitioned parallel router (cad/route_parallel) -------------------
     /// Flow-level router selection: 0 keeps the serial reference router;
@@ -90,8 +89,8 @@ struct RouterOptions {
 
     /// Canonical content hash over EVERY field (artifact-key material); the
     /// implementation pins the struct size so new fields fail loudly.
-    /// `threads`/`verbose` never change the routing (bit-identical for any
-    /// worker count) but are included anyway — the canonical rule is "every
+    /// `threads` never changes the routing (bit-identical for any worker
+    /// count) but is included anyway — the canonical rule is "every
     /// field", and a spurious miss is always safe.
     [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };

@@ -1,10 +1,8 @@
 #include "cad/route_parallel.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "base/timer.hpp"
 #include "cad/route_search.hpp"
@@ -304,27 +302,6 @@ RoutingResult route_parallel(const RRGraph& rr, const std::vector<RouteRequest>&
             stall = 0;
         } else {
             ++stall;
-        }
-        if (opts.verbose) {
-            std::size_t boundary_rerouted = 0;
-            for (std::size_t i = 0; i < tree.size(); ++i)
-                if (tree[i].leaf_id < 0) boundary_rerouted += node_work[i].size();
-            std::fprintf(stderr,
-                         "[router-par] iter %d rerouted=%zu overused=%zu pres=%.3g "
-                         "boundary=%zu\n",
-                         iter, dirty.size(), overused, pres_fac, boundary_rerouted);
-            for (std::uint32_t n = 0; n < N; ++n) {
-                if (occ[n] <= rr.node_capacity(n)) continue;
-                const core::RRNode& nd = rr.node(n);
-                std::string users;
-                for (std::size_t ri = 0; ri < reqs.size(); ++ri)
-                    if (std::find(net_nodes[ri].begin(), net_nodes[ri].end(), n) !=
-                        net_nodes[ri].end())
-                        users += " net" + std::to_string(ri);
-                std::fprintf(stderr, "  %s(%u,%u)#%u occ=%u%s\n",
-                             core::to_string(nd.kind).c_str(), nd.x, nd.y, nd.track, occ[n],
-                             users.c_str());
-            }
         }
         if (overused == 0 && all_routed) {
             result.success = true;

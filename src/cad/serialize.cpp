@@ -459,7 +459,9 @@ namespace {
 
 std::uint8_t get_engine(BlobReader& r) {
     const std::uint8_t e = r.u8();
-    base::check(e <= 2, "placement blob: bad engine tag");
+    base::check(e == static_cast<std::uint8_t>(PlaceEngine::Anneal) ||
+                    e == static_cast<std::uint8_t>(PlaceEngine::Multilevel),
+                "placement blob: bad engine tag");
     return e;
 }
 

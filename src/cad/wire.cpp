@@ -1,5 +1,6 @@
 #include "cad/wire.hpp"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -316,6 +317,17 @@ int get_int_count(BlobReader& r, const char* field,
     return static_cast<int>(v);
 }
 
+/// A finite f64 (NaN and infinities rejected); `non_negative` also rejects
+/// values below zero. The router's cost factors need both: a negative or
+/// NaN cost defeats the A* search's pruning and one hostile Submit would
+/// pin a worker forever.
+double get_finite(BlobReader& r, const char* field, bool non_negative = false) {
+    const double v = r.f64();
+    check(std::isfinite(v) && (!non_negative || v >= 0.0),
+          std::string("wire: ") + field + " out of range");
+    return v;
+}
+
 /// A u32 thread count bounded by kMaxWireParallelism.
 unsigned get_thread_count(BlobReader& r, const char* field) {
     const std::uint32_t v = r.u32();
@@ -330,11 +342,11 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     // fingerprint() implementations: adding a knob without teaching the wire
     // about it must fail the build, not silently desynchronize client and
     // server.
-    static_assert(sizeof(FlowOptions) == 232, "FlowOptions changed: update wire codec");
+    static_assert(sizeof(FlowOptions) == 224, "FlowOptions changed: update wire codec");
     static_assert(sizeof(TechmapOptions) == 16, "TechmapOptions changed: update wire codec");
     static_assert(sizeof(PackOptions) == 1, "PackOptions changed: update wire codec");
     static_assert(sizeof(PlaceOptions) == 88, "PlaceOptions changed: update wire codec");
-    static_assert(sizeof(RouterOptions) == 64, "RouterOptions changed: update wire codec");
+    static_assert(sizeof(RouterOptions) == 56, "RouterOptions changed: update wire codec");
 
     w.u64(o.seed);
     w.boolean(o.techmap.use_rail_pair_hints);
@@ -364,7 +376,6 @@ void encode_flow_options(const FlowOptions& o, BlobWriter& w) {
     w.f64(o.route.hist_fac);
     w.f64(o.route.astar_fac);
     w.i64(o.route.stall_full_reroute);
-    w.boolean(o.route.verbose);
     w.u32(o.route.threads);
     w.u32(o.route.bin_margin);
     w.u32(o.route.min_bin_dim);
@@ -381,11 +392,13 @@ FlowOptions decode_flow_options(BlobReader& r) {
     o.techmap.pairing_window = static_cast<std::size_t>(r.u64());
     o.pack.affinity_clustering = r.boolean();
     o.place.seed = r.u64();
-    o.place.alpha = r.f64();
-    o.place.moves_scale = r.f64();
+    o.place.alpha = get_finite(r, "place alpha");
+    o.place.moves_scale = get_finite(r, "place moves_scale");
     o.place.anneal = r.boolean();
     const std::uint8_t alg = r.u8();
-    check(alg <= static_cast<std::uint8_t>(PlaceAlgorithm::Multilevel),
+    check(alg == static_cast<std::uint8_t>(PlaceAlgorithm::Anneal) ||
+              alg == static_cast<std::uint8_t>(PlaceAlgorithm::Race) ||
+              alg == static_cast<std::uint8_t>(PlaceAlgorithm::Multilevel),
           "wire: place algorithm out of range");
     o.place.algorithm = static_cast<PlaceAlgorithm>(alg);
     o.place.parallel_seeds = get_int_count(r, "place parallel_seeds", kMaxWireParallelism);
@@ -394,22 +407,21 @@ FlowOptions decode_flow_options(BlobReader& r) {
     o.place.solver_passes = get_int_count(r, "place solver_passes");
     o.place.solver_max_iters = get_int_count(r, "place solver_max_iters");
     o.place.polish_rounds = get_int_count(r, "place polish_rounds");
-    o.place.solver_tolerance = r.f64();
-    o.place.anchor_weight = r.f64();
-    o.place.coarsen_ratio = r.f64();
+    o.place.solver_tolerance = get_finite(r, "place solver_tolerance");
+    o.place.anchor_weight = get_finite(r, "place anchor_weight");
+    o.place.coarsen_ratio = get_finite(r, "place coarsen_ratio");
     o.place.min_coarse_nodes = get_int_count(r, "place min_coarse_nodes");
     o.place.max_levels = get_int_count(r, "place max_levels");
     o.route.max_iterations = get_int_count(r, "route max_iterations");
-    o.route.pres_fac_first = r.f64();
-    o.route.pres_fac_mult = r.f64();
-    o.route.hist_fac = r.f64();
-    o.route.astar_fac = r.f64();
+    o.route.pres_fac_first = get_finite(r, "route pres_fac_first", true);
+    o.route.pres_fac_mult = get_finite(r, "route pres_fac_mult", true);
+    o.route.hist_fac = get_finite(r, "route hist_fac", true);
+    o.route.astar_fac = get_finite(r, "route astar_fac");
     o.route.stall_full_reroute = get_int_count(r, "route stall_full_reroute");
-    o.route.verbose = r.boolean();
     o.route.threads = get_thread_count(r, "route threads");
     o.route.bin_margin = r.u32();
     o.route.min_bin_dim = r.u32();
-    o.pde_extra_margin = r.f64();
+    o.pde_extra_margin = get_finite(r, "pde_extra_margin");
     o.verify_mapping = r.boolean();
     return o;
 }

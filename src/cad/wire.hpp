@@ -40,7 +40,7 @@ namespace afpga::cad::wire {
 /// Frame magic: "AFPW" read as a little-endian u32.
 inline constexpr std::uint32_t kMagic = 0x57504641u;
 /// Protocol version; see the file comment's version policy.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Fixed frame-header size in bytes.
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Hard cap on a single frame's payload — anything larger is malformed by

@@ -1,5 +1,7 @@
 #include "core/bitstream.hpp"
 
+#include <algorithm>
+
 #include "base/check.hpp"
 
 namespace afpga::core {
@@ -64,7 +66,10 @@ base::BitVector Bitstream::serialize() const {
     out.append_bits(edges_.size(), 32);
     for (const PlbConfig& p : plbs_) p.serialize(arch(), out);
     for (PadMode m : pads_) out.append_bits(static_cast<std::uint64_t>(m), 2);
-    for (std::size_t i = 0; i < edges_.size(); ++i) out.push_back(edges_.get(i));
+    for (std::size_t i = 0; i < edges_.size(); i += 64) {
+        const std::size_t n = std::min<std::size_t>(64, edges_.size() - i);
+        out.append_bits(edges_.get_bits(i, n), n);
+    }
     out.append_bits(out.crc32(), 32);
     return out;
 }
@@ -92,8 +97,8 @@ Bitstream Bitstream::deserialize(const ArchSpec& arch, const base::BitVector& bi
     check(n_pads == bs.pads_.size(), "Bitstream: pad count mismatch");
     // Verify CRC before decoding the body.
     {
-        base::BitVector body;
-        for (std::size_t i = 0; i < bits.size() - 32; ++i) body.push_back(bits.get(i));
+        base::BitVector body = bits;
+        body.resize(bits.size() - 32);
         const std::uint32_t stored =
             static_cast<std::uint32_t>(bits.get_bits(bits.size() - 32, 32));
         check(body.crc32() == stored, "Bitstream: CRC mismatch");
@@ -105,9 +110,10 @@ Bitstream Bitstream::deserialize(const ArchSpec& arch, const base::BitVector& bi
         check(v <= 2, "Bitstream: bad pad mode");
         m = static_cast<PadMode>(v);
     }
-    for (std::size_t i = 0; i < n_edges; ++i) {
-        bs.edges_.set(i, bits.get(cur));
-        ++cur;
+    for (std::size_t i = 0; i < n_edges; i += 64) {
+        const std::size_t n = std::min<std::size_t>(64, n_edges - i);
+        bs.edges_.set_bits(i, bits.get_bits(cur, n), n);
+        cur += n;
     }
     return bs;
 }

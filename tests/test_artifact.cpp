@@ -170,7 +170,6 @@ TEST(OptionFingerprint, PlaceEveryFieldCounts) {
     expect_every_field_counts<cad::PlaceOptions>(
         [](auto& o) { o.seed = 2; }, [](auto& o) { o.alpha = 0.8; },
         [](auto& o) { o.moves_scale = 11.0; }, [](auto& o) { o.anneal = false; },
-        [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Analytical; },
         [](auto& o) { o.algorithm = cad::PlaceAlgorithm::Race; },
         [](auto& o) { o.parallel_seeds = 2; }, [](auto& o) { o.threads = 3; },
         [](auto& o) { o.max_rounds = 77; }, [](auto& o) { o.solver_passes = 5; },
@@ -187,7 +186,6 @@ TEST(OptionFingerprint, RouterEveryFieldCounts) {
         [](auto& o) { o.max_iterations = 41; }, [](auto& o) { o.pres_fac_first = 0.7; },
         [](auto& o) { o.pres_fac_mult = 1.8; }, [](auto& o) { o.hist_fac = 1.5; },
         [](auto& o) { o.astar_fac = 0.5; }, [](auto& o) { o.stall_full_reroute = 5; },
-        [](auto& o) { o.verbose = true; },
         [](auto& o) { o.threads = 2; }, [](auto& o) { o.bin_margin = 2; },
         [](auto& o) { o.min_bin_dim = 5; });
 }

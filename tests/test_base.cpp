@@ -3,6 +3,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "base/bitvector.hpp"
 #include "base/check.hpp"
@@ -125,6 +126,65 @@ TEST(BitVector, OutOfRangeThrows) {
     BitVector bv(8);
     EXPECT_THROW((void)bv.get(8), afpga::base::Error);
     EXPECT_THROW(bv.set(9, true), afpga::base::Error);
+    EXPECT_THROW((void)bv.get_bits(4, 5), afpga::base::Error);
+    EXPECT_THROW(bv.set_bits(0, 0, 65), afpga::base::Error);
+}
+
+TEST(BitVector, WordOpsMatchABitModel) {
+    // Random field widths (0..64) at random offsets cross word boundaries;
+    // high garbage above `n` in the written word must be ignored.
+    Rng rng(11);
+    BitVector bv;
+    std::vector<bool> model;
+    for (int i = 0; i < 400; ++i) {
+        const std::size_t n = rng.below(65);
+        const std::uint64_t word = rng.next();
+        if (rng.below(4) == 0) {
+            bv.push_back(word & 1);
+            model.push_back(word & 1);
+        } else {
+            bv.append_bits(word, n);
+            for (std::size_t b = 0; b < n; ++b) model.push_back((word >> b) & 1);
+        }
+    }
+    for (int i = 0; i < 2000; ++i) {
+        const std::size_t n = rng.below(65);
+        const std::size_t pos = rng.below(model.size() - n + 1);
+        const std::uint64_t word = rng.next();
+        bv.set_bits(pos, word, n);
+        for (std::size_t b = 0; b < n; ++b) model[pos + b] = (word >> b) & 1;
+        const std::size_t rn = rng.below(65);
+        const std::size_t rpos = rng.below(model.size() - rn + 1);
+        std::uint64_t want = 0;
+        for (std::size_t b = 0; b < rn; ++b)
+            if (model[rpos + b]) want |= 1ULL << b;
+        ASSERT_EQ(bv.get_bits(rpos, rn), want) << "pos " << rpos << " n " << rn;
+    }
+    BitVector bitwise;
+    for (const bool b : model) bitwise.resize(bitwise.size() + 1, b);
+    EXPECT_EQ(bv, bitwise);  // same bits and zero tail
+}
+
+TEST(BitVector, CrcMatchesBitwiseReference) {
+    // The bit-serial form of the reflected IEEE 802.3 CRC, over the packed
+    // little-endian words and then the 64-bit length.
+    auto reference = [](const BitVector& bv) {
+        std::uint32_t crc = 0xFFFFFFFFu;
+        auto feed = [&crc](std::uint8_t byte) {
+            crc ^= byte;
+            for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+        };
+        for (const std::uint64_t w : bv.words())
+            for (int b = 0; b < 8; ++b) feed(static_cast<std::uint8_t>(w >> (8 * b)));
+        for (int b = 0; b < 8; ++b) feed(static_cast<std::uint8_t>(bv.size() >> (8 * b)));
+        return ~crc;
+    };
+    Rng rng(5);
+    BitVector bv;
+    for (int i = 0; i < 300; ++i) {
+        EXPECT_EQ(bv.crc32(), reference(bv)) << "size " << bv.size();
+        bv.append_bits(rng.next(), rng.below(65));
+    }
 }
 
 TEST(Rng, Deterministic) {

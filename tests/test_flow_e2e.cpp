@@ -7,10 +7,15 @@
 // and simulates it against the behavioural (source netlist) model. Every
 // stage's artifact is checked for structural legality, and the whole flow
 // is checked to be seed-stable, so later placer/router optimisation PRs
-// have a trustworthy baseline to diff against.
+// have a trustworthy baseline to diff against. An engine matrix repeats the
+// simulation checks for every placement algorithm crossed with the serial
+// and the partitioned router, so no configuration the flow offers ships
+// unsimulated.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "asynclib/adders.hpp"
@@ -60,14 +65,11 @@ void expect_legal_flow_result(const cad::FlowResult& fr, std::size_t n_clusters_
     EXPECT_GT(fr.bits->serialize().size(), 0u);
 }
 
-TEST(FlowE2E, QdiRippleAdderImplementationMatchesBehaviouralModel) {
-    auto adder = asynclib::make_qdi_adder(2);
-    cad::FlowOptions opts;
-    opts.seed = kSeed;
-    const auto fr = cad::run_flow(adder.nl, adder.hints, core::ArchSpec{}, opts);
-    expect_legal_flow_result(fr, fr.arch.width * fr.arch.height);
-
-    // Behavioural model: the source netlist, zero-delay wires.
+// Simulate every input vector of an n-bit QDI adder through both the
+// behavioural model (the source netlist, zero-delay wires) and the
+// implementation (elaborated from the bitstream, routed wire delays on).
+void expect_qdi_adder_matches_model(const asynclib::QdiAdder& adder, std::size_t n_bits,
+                                    const cad::FlowResult& fr) {
     sim::Simulator golden(adder.nl);
     golden.run();
     sim::QdiCombIface golden_iface;
@@ -78,30 +80,28 @@ TEST(FlowE2E, QdiRippleAdderImplementationMatchesBehaviouralModel) {
     golden_iface.outputs.push_back(adder.cout);
     golden_iface.done = adder.done;
 
-    // Implementation: elaborated from the bitstream, routed wire delays on.
     PostRouteSim impl(fr);
-    const auto impl_iface = testsupport::qdi_adder_iface(impl.design.nl, 2);
+    const auto impl_iface = testsupport::qdi_adder_iface(impl.design.nl, n_bits);
 
-    for (std::uint64_t v = 0; v < 32; ++v) {
-        const std::uint64_t a = v & 3;
-        const std::uint64_t b = (v >> 2) & 3;
-        const std::uint64_t cin = (v >> 4) & 1;
+    const std::uint64_t mask = (std::uint64_t{1} << n_bits) - 1;
+    for (std::uint64_t v = 0; v < (std::uint64_t{1} << (2 * n_bits + 1)); ++v) {
+        const std::uint64_t a = v & mask;
+        const std::uint64_t b = (v >> n_bits) & mask;
+        const std::uint64_t cin = (v >> (2 * n_bits)) & 1;
         const std::uint64_t want = a + b + cin;
         EXPECT_EQ(sim::qdi_apply_token(golden, golden_iface, v), want) << "golden v=" << v;
         EXPECT_EQ(sim::qdi_apply_token(*impl.sim, impl_iface, v), want) << "impl v=" << v;
     }
 }
 
-TEST(FlowE2E, MicropipelineFifoStreamsTokensPostRoute) {
-    auto fifo = asynclib::make_micropipeline_fifo(4, 3);
-    cad::FlowOptions opts;
-    opts.seed = kSeed;
-    const auto fr = cad::run_flow(fifo.nl, {}, core::ArchSpec{}, opts);
-    expect_legal_flow_result(fr, fr.arch.width * fr.arch.height);
-
+// Stream tokens through a 4-bit micropipeline FIFO's behavioural model and
+// its post-route implementation, with the bundling constraint monitored on
+// the implementation's output channel — the property the routed PDEs exist
+// to guarantee.
+void expect_fifo_streams_tokens(const asynclib::MpFifo& fifo,
+                                const cad::FlowResult& fr) {
     const std::vector<std::uint64_t> tokens{3, 14, 8, 0, 15, 1, 12, 7};
 
-    // Behavioural model: stream through the source netlist.
     sim::Simulator golden(fifo.nl);
     golden.run();
     sim::BdStreamSource gsrc(golden, fifo.in, fifo.req_in, fifo.ack_in, tokens, 100, 80);
@@ -110,9 +110,6 @@ TEST(FlowE2E, MicropipelineFifoStreamsTokensPostRoute) {
     EXPECT_TRUE(golden.run(500'000'000).quiescent);
     EXPECT_EQ(gsink.received(), tokens);
 
-    // Implementation: same stream through the post-route design, with the
-    // bundling constraint monitored on the output channel — the property
-    // the routed PDEs exist to guarantee.
     PostRouteSim impl(fr);
     const auto iface = testsupport::mp_fifo_iface(impl.design.nl, 4);
     sim::BundledChannelMonitor mon(*impl.sim, iface.data_out, iface.req_out, iface.ack_out,
@@ -124,6 +121,15 @@ TEST(FlowE2E, MicropipelineFifoStreamsTokensPostRoute) {
     EXPECT_EQ(sink.received(), tokens);
     EXPECT_TRUE(mon.violations().empty())
         << (mon.violations().empty() ? "" : mon.violations()[0].what);
+}
+
+TEST(FlowE2E, QdiRippleAdderImplementationMatchesBehaviouralModel) {
+    auto adder = asynclib::make_qdi_adder(2);
+    cad::FlowOptions opts;
+    opts.seed = kSeed;
+    const auto fr = cad::run_flow(adder.nl, adder.hints, core::ArchSpec{}, opts);
+    expect_legal_flow_result(fr, fr.arch.width * fr.arch.height);
+    expect_qdi_adder_matches_model(adder, 2, fr);
 }
 
 TEST(FlowE2E, AdderFlowIsSeedStable) {
@@ -143,5 +149,55 @@ TEST(FlowE2E, FifoFlowIsSeedStable) {
     const auto b = cad::run_flow(fifo.nl, {}, core::ArchSpec{}, opts);
     EXPECT_EQ(testsupport::flow_fingerprint(a), testsupport::flow_fingerprint(b));
 }
+
+// --- engine matrix ----------------------------------------------------------
+// Every placement algorithm x {serial router, partitioned router on two
+// workers}: each configuration's output must simulate like the behavioural
+// model, not merely route legally and deterministically. The
+// Anneal_RouteThreads0 instance is the default flow.
+
+using EngineConfig = std::tuple<cad::PlaceAlgorithm, unsigned>;
+
+class FlowEngineMatrix : public ::testing::TestWithParam<EngineConfig> {
+protected:
+    [[nodiscard]] cad::FlowOptions options() const {
+        cad::FlowOptions opts;
+        opts.seed = kSeed;
+        opts.place.algorithm = std::get<0>(GetParam());
+        opts.route.threads = std::get<1>(GetParam());
+        return opts;
+    }
+};
+
+TEST_P(FlowEngineMatrix, QdiAdder4MatchesBehaviouralModelOnEveryVector) {
+    auto adder = asynclib::make_qdi_adder(4);
+    const auto fr = cad::run_flow(adder.nl, adder.hints, core::ArchSpec{}, options());
+    expect_legal_flow_result(fr, fr.arch.width * fr.arch.height);
+    expect_qdi_adder_matches_model(adder, 4, fr);
+}
+
+TEST_P(FlowEngineMatrix, MicropipelineFifoStreamsTokensUnderBundlingMonitor) {
+    auto fifo = asynclib::make_micropipeline_fifo(4, 3);
+    const auto fr = cad::run_flow(fifo.nl, {}, core::ArchSpec{}, options());
+    expect_legal_flow_result(fr, fr.arch.width * fr.arch.height);
+    expect_fifo_streams_tokens(fifo, fr);
+}
+
+std::string engine_config_name(const ::testing::TestParamInfo<EngineConfig>& info) {
+    std::string name;
+    switch (std::get<0>(info.param)) {
+        case cad::PlaceAlgorithm::Anneal: name = "Anneal"; break;
+        case cad::PlaceAlgorithm::Race: name = "Race"; break;
+        case cad::PlaceAlgorithm::Multilevel: name = "Multilevel"; break;
+    }
+    return name + "_RouteThreads" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, FlowEngineMatrix,
+                         ::testing::Combine(::testing::Values(cad::PlaceAlgorithm::Anneal,
+                                                              cad::PlaceAlgorithm::Multilevel,
+                                                              cad::PlaceAlgorithm::Race),
+                                            ::testing::Values(0u, 2u)),
+                         engine_config_name);
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Analytical placement engine: the Tetris legalizer's determinism and
-// stats, the B2B solver's option contract, engine tagging, and the race
-// winner semantics when the analytical replica joins the anneal pool.
+// Analytical placement: the Tetris legalizer's determinism and stats, the
+// B2B solver's option contract and the polish switch (exercised through the
+// multilevel engine), and the race winner semantics when the multilevel
+// replica joins the anneal pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,7 +71,7 @@ TEST(Legalizer, ThrowsWhenClustersCannotFit) {
     EXPECT_THROW((void)cad::legalize_clusters(x, y, 2, 2), base::Error);
 }
 
-// --- analytical engine ------------------------------------------------------
+// --- multilevel engine ------------------------------------------------------
 
 struct Design {
     cad::MappedDesign md;
@@ -98,44 +99,18 @@ void expect_legal(const cad::Placement& pl, const core::ArchSpec& arch) {
     for (const auto& [name, pad] : pl.po_pad) EXPECT_TRUE(pads.insert(pad).second) << name;
 }
 
-TEST(PlaceAnalytical, LegalDeterministicAndTagged) {
-    const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
-    opts.seed = 11;
-    const auto a = cad::place(d.pd, d.md, d.arch, opts);
-    const auto b = cad::place(d.pd, d.md, d.arch, opts);
-
-    expect_legal(a, d.arch);
-    EXPECT_EQ(a.engine, cad::PlaceEngine::Analytical);
-    EXPECT_TRUE(a.replicas.empty());
-    ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
-    for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
-        EXPECT_TRUE(a.cluster_loc[i] == b.cluster_loc[i]) << i;
-    EXPECT_EQ(a.pi_pad, b.pi_pad);
-    EXPECT_EQ(a.po_pad, b.po_pad);
-    EXPECT_EQ(a.final_cost, b.final_cost);
-
-    // The reported cost is the real wirelength of the reported placement.
-    EXPECT_DOUBLE_EQ(a.final_cost, cad::placement_wirelength(d.pd, d.md, d.arch, a));
-
-    // Solver/spreader/legalizer telemetry is populated.
-    EXPECT_GT(a.analytical.solver_iterations, 0u);
-    EXPECT_GT(a.analytical.solver_passes, 0);
-    EXPECT_GT(a.analytical.spread_passes, 0);
-    EXPECT_GT(a.analytical.pre_legal_cost, 0.0);
-    EXPECT_GT(a.analytical.legalized_cost, 0.0);
-}
-
 TEST(PlaceAnalytical, SolverOptionCapsAreHonoured) {
     const Design d = make_design();
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
+    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.seed = 11;
     opts.solver_passes = 3;
     opts.solver_max_iters = 7;
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(pl, d.arch);
+    // The design is below min_coarse_nodes, so the V-cycle is one level and
+    // that level runs the full schedule under the caps.
+    ASSERT_EQ(pl.analytical.levels.size(), 1u);
     // solver_passes rebuild+solve passes plus the final targeting solve.
     EXPECT_LE(pl.analytical.solver_passes, 3 + 1);
     // Two axes per pass, each capped at solver_max_iters CG iterations.
@@ -146,12 +121,12 @@ TEST(PlaceAnalytical, SolverOptionCapsAreHonoured) {
 TEST(PlaceAnalytical, PolishOffSkipsTheAnneal) {
     const Design d = make_design();
     cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
+    opts.algorithm = cad::PlaceAlgorithm::Multilevel;
     opts.seed = 11;
     opts.polish_rounds = 0;
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(pl, d.arch);
-    EXPECT_EQ(pl.engine, cad::PlaceEngine::Analytical);
+    EXPECT_EQ(pl.engine, cad::PlaceEngine::Multilevel);
     EXPECT_EQ(pl.moves_tried, 0u);
     EXPECT_EQ(pl.anneal_rounds, 0);
     EXPECT_GT(pl.final_cost, 0.0);
@@ -159,7 +134,7 @@ TEST(PlaceAnalytical, PolishOffSkipsTheAnneal) {
 
 // --- race -------------------------------------------------------------------
 
-TEST(PlaceRace, AnalyticalJoinsAsFinalReplicaAndLexMinWins) {
+TEST(PlaceRace, MultilevelJoinsAsFinalReplicaAndLexMinWins) {
     const Design d = make_design();
     cad::PlaceOptions opts;
     opts.algorithm = cad::PlaceAlgorithm::Race;
@@ -168,11 +143,10 @@ TEST(PlaceRace, AnalyticalJoinsAsFinalReplicaAndLexMinWins) {
     const auto pl = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(pl, d.arch);
 
-    ASSERT_EQ(pl.replicas.size(), 5u);
+    ASSERT_EQ(pl.replicas.size(), 4u);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(pl.replicas[i].engine, cad::PlaceEngine::Anneal) << i;
-    EXPECT_EQ(pl.replicas[3].engine, cad::PlaceEngine::Analytical);
-    EXPECT_EQ(pl.replicas[4].engine, cad::PlaceEngine::Multilevel);
+    EXPECT_EQ(pl.replicas[3].engine, cad::PlaceEngine::Multilevel);
 
     // Winner is the lexicographic minimum of (final_cost, replica index).
     std::size_t expect_winner = 0;

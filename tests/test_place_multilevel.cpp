@@ -195,6 +195,7 @@ TEST(PlaceMultilevel, LegalDeterministicAndTagged) {
     const auto b = cad::place(d.pd, d.md, d.arch, opts);
     expect_legal(a, d.arch);
     EXPECT_EQ(a.engine, cad::PlaceEngine::Multilevel);
+    EXPECT_TRUE(a.replicas.empty());
     EXPECT_GT(a.final_cost, 0.0);
     ASSERT_EQ(a.cluster_loc.size(), b.cluster_loc.size());
     for (std::size_t i = 0; i < a.cluster_loc.size(); ++i)
@@ -202,6 +203,16 @@ TEST(PlaceMultilevel, LegalDeterministicAndTagged) {
     EXPECT_EQ(a.pi_pad, b.pi_pad);
     EXPECT_EQ(a.po_pad, b.po_pad);
     EXPECT_EQ(a.final_cost, b.final_cost);
+
+    // The reported cost is the real wirelength of the reported placement.
+    EXPECT_DOUBLE_EQ(a.final_cost, cad::placement_wirelength(d.pd, d.md, d.arch, a));
+
+    // Solver/spreader/legalizer telemetry is populated.
+    EXPECT_GT(a.analytical.solver_iterations, 0u);
+    EXPECT_GT(a.analytical.solver_passes, 0);
+    EXPECT_GT(a.analytical.spread_passes, 0);
+    EXPECT_GT(a.analytical.pre_legal_cost, 0.0);
+    EXPECT_GT(a.analytical.legalized_cost, 0.0);
 }
 
 TEST(PlaceMultilevel, PerLevelTelemetryDescribesTheVCycle) {
@@ -236,16 +247,6 @@ TEST(PlaceMultilevel, PerLevelTelemetryDescribesTheVCycle) {
     // The full schedule ran only at the coarsest level.
     for (std::size_t l = 1; l < levels.size(); ++l)
         EXPECT_LT(levels[l].solver_passes, levels[0].solver_passes) << "level " << l;
-}
-
-TEST(PlaceMultilevel, FlatEngineReportsNoLevels) {
-    const Design d = make_design();
-    cad::PlaceOptions opts;
-    opts.algorithm = cad::PlaceAlgorithm::Analytical;
-    opts.seed = 3;
-    const auto pl = cad::place(d.pd, d.md, d.arch, opts);
-    EXPECT_EQ(pl.engine, cad::PlaceEngine::Analytical);
-    EXPECT_TRUE(pl.analytical.levels.empty());
 }
 
 }  // namespace

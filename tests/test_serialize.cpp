@@ -104,7 +104,7 @@ cad::Placement make_placement() {
     r1.final_cost = 12.5;
     r1.wall_ms = 1.25;
     r1.cost_trajectory = {29.0, 12.5};
-    r1.engine = cad::PlaceEngine::Analytical;
+    r1.engine = cad::PlaceEngine::Multilevel;
     pl.replicas = {r0, r1};
     pl.winner_replica = 1;
     pl.engine = cad::PlaceEngine::Multilevel;
@@ -501,6 +501,43 @@ TEST(SerializeRobustness, TruncationAtEveryPrefixThrows) {
                 // expected: truncation always surfaces as base::Error
             }
         }
+    }
+}
+
+TEST(SerializeRobustness, PlacementRejectsRetiredEngineTag) {
+    // Engine tag 1 belonged to a retired placement engine: a blob carrying
+    // it, as the winner's engine or as a replica's, must not decode. The
+    // tag bytes are located by diffing two encodings that differ only there.
+    auto tag_offset = [](const cad::Placement& a, const cad::Placement& b) {
+        const auto ea = cad::ArtifactCodec<cad::Placement>::encode_blob(a);
+        const auto eb = cad::ArtifactCodec<cad::Placement>::encode_blob(b);
+        EXPECT_EQ(ea.size(), eb.size());
+        std::size_t diffs = 0;
+        std::size_t at = 0;
+        for (std::size_t i = 0; i < ea.size(); ++i)
+            if (ea[i] != eb[i]) {
+                ++diffs;
+                at = i;
+            }
+        EXPECT_EQ(diffs, 1u);
+        return at;
+    };
+    cad::Placement ref = make_placement();
+    ref.engine = cad::PlaceEngine::Anneal;
+    cad::Placement other = ref;
+    other.engine = cad::PlaceEngine::Multilevel;
+    const std::size_t winner_at = tag_offset(ref, other);
+    other = ref;
+    other.replicas[1].engine = cad::PlaceEngine::Anneal;
+    const std::size_t replica_at = tag_offset(ref, other);
+    for (const std::size_t at : {winner_at, replica_at}) {
+        std::vector<std::uint8_t> blob = cad::ArtifactCodec<cad::Placement>::encode_blob(ref);
+        blob[at] = 1;
+        EXPECT_THROW((void)cad::ArtifactCodec<cad::Placement>::decode_blob(blob), base::Error)
+            << "tag at byte " << at;
+        blob[at] = 3;
+        EXPECT_THROW((void)cad::ArtifactCodec<cad::Placement>::decode_blob(blob), base::Error)
+            << "tag at byte " << at;
     }
 }
 

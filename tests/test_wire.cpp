@@ -549,6 +549,77 @@ TEST(WireCodec, SubmitRejectsEveryOutOfRangeCount) {
     }
 }
 
+TEST(WireCodec, SubmitRejectsNonFiniteCostsAndRetiredAlgorithm) {
+    // encode_flow_options writes every f64 bit-exactly and the algorithm as
+    // a raw byte, so a hostile value needs no byte patching: set it, frame
+    // it, and demand the payload decode throws.
+    auto adder = asynclib::make_qdi_adder(2);
+    wire::SubmitMsg base_msg;
+    base_msg.name = "hostile";
+    base_msg.nl = adder.nl;
+    base_msg.hints = adder.hints;
+    auto frame_of = [](const wire::SubmitMsg& m) {
+        return wire::encode_frame(wire::MsgType::Submit, wire::encode_payload(m));
+    };
+
+    struct Field {
+        const char* name;
+        bool non_negative;  // the router cost factors must also be >= 0
+        double* (*at)(wire::SubmitMsg&);
+    };
+    const Field fields[] = {
+        {"place.alpha", false, [](wire::SubmitMsg& m) { return &m.opts.place.alpha; }},
+        {"place.moves_scale", false,
+         [](wire::SubmitMsg& m) { return &m.opts.place.moves_scale; }},
+        {"place.solver_tolerance", false,
+         [](wire::SubmitMsg& m) { return &m.opts.place.solver_tolerance; }},
+        {"place.anchor_weight", false,
+         [](wire::SubmitMsg& m) { return &m.opts.place.anchor_weight; }},
+        {"place.coarsen_ratio", false,
+         [](wire::SubmitMsg& m) { return &m.opts.place.coarsen_ratio; }},
+        {"route.pres_fac_first", true,
+         [](wire::SubmitMsg& m) { return &m.opts.route.pres_fac_first; }},
+        {"route.pres_fac_mult", true,
+         [](wire::SubmitMsg& m) { return &m.opts.route.pres_fac_mult; }},
+        {"route.hist_fac", true, [](wire::SubmitMsg& m) { return &m.opts.route.hist_fac; }},
+        {"route.astar_fac", false, [](wire::SubmitMsg& m) { return &m.opts.route.astar_fac; }},
+        {"pde_extra_margin", false,
+         [](wire::SubmitMsg& m) { return &m.opts.pde_extra_margin; }},
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const Field& f : fields) {
+        for (const double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+            wire::SubmitMsg m = base_msg;
+            *f.at(m) = v;
+            expect_submit_rejected(frame_of(m), std::string(f.name) + " = " + std::to_string(v));
+        }
+        if (!f.non_negative) continue;
+        for (const double v : {-1.0, -1e-300}) {
+            wire::SubmitMsg m = base_msg;
+            *f.at(m) = v;
+            expect_submit_rejected(frame_of(m), std::string(f.name) + " = " + std::to_string(v));
+        }
+        // Zero is a legal (if useless) cost factor.
+        wire::SubmitMsg m = base_msg;
+        *f.at(m) = 0.0;
+        EXPECT_NO_THROW((void)wire::decode_submit(wire::encode_payload(m))) << f.name;
+    }
+
+    // Place algorithm 1 belonged to a retired engine; 4 was never defined.
+    for (const std::uint8_t alg : {std::uint8_t{1}, std::uint8_t{4}}) {
+        wire::SubmitMsg m = base_msg;
+        m.opts.place.algorithm = static_cast<cad::PlaceAlgorithm>(alg);
+        expect_submit_rejected(frame_of(m), "place.algorithm = " + std::to_string(alg));
+    }
+    for (const cad::PlaceAlgorithm alg : {cad::PlaceAlgorithm::Anneal, cad::PlaceAlgorithm::Race,
+                                          cad::PlaceAlgorithm::Multilevel}) {
+        wire::SubmitMsg m = base_msg;
+        m.opts.place.algorithm = alg;
+        EXPECT_NO_THROW((void)wire::decode_submit(wire::encode_payload(m)))
+            << static_cast<int>(alg);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Netlist::from_parts: the decoder's trust boundary.
 // ---------------------------------------------------------------------------
